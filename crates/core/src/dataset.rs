@@ -16,7 +16,7 @@ use langcrux_filter::DiscardCategory;
 use langcrux_lang::a11y::ElementKind;
 use langcrux_lang::Country;
 use langcrux_langid::LabelLanguage;
-use serde::{field, DeError, Deserialize, Serialize, Value};
+use serde::{field, DeError, Deserialize, ObjectWriter, Serialize, Value};
 
 /// State of one accessibility element on a site.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -101,32 +101,23 @@ pub struct SiteRecord {
 }
 
 impl Serialize for SiteRecord {
-    fn to_value(&self) -> Value {
-        let mut obj = vec![
-            ("host".to_string(), self.host.to_value()),
-            ("country".to_string(), self.country.to_value()),
-            ("rank".to_string(), self.rank.to_value()),
-            (
-                "visible_native_pct".to_string(),
-                self.visible_native_pct.to_value(),
-            ),
-            (
-                "visible_english_pct".to_string(),
-                self.visible_english_pct.to_value(),
-            ),
-            ("declared_lang".to_string(), self.declared_lang.to_value()),
-            ("elements".to_string(), self.elements.to_value()),
-            ("base_score".to_string(), self.base_score.to_value()),
-            ("kizuki_score".to_string(), self.kizuki_score.to_value()),
-            (
-                "kizuki_eligible".to_string(),
-                self.kizuki_eligible.to_value(),
-            ),
-        ];
+    fn write_json(&self, out: &mut String) -> Result<(), serde::Error> {
+        let mut obj = ObjectWriter::new(out);
+        obj.field("host", &self.host)?;
+        obj.field("country", &self.country)?;
+        obj.field("rank", &self.rank)?;
+        obj.field("visible_native_pct", &self.visible_native_pct)?;
+        obj.field("visible_english_pct", &self.visible_english_pct)?;
+        obj.field("declared_lang", &self.declared_lang)?;
+        obj.field("elements", &self.elements)?;
+        obj.field("base_score", &self.base_score)?;
+        obj.field("kizuki_score", &self.kizuki_score)?;
+        obj.field("kizuki_eligible", &self.kizuki_eligible)?;
         if let Some(gaps) = &self.gaps {
-            obj.push(("gaps".to_string(), gaps.to_value()));
+            obj.field("gaps", gaps)?;
         }
-        Value::Object(obj)
+        obj.end();
+        Ok(())
     }
 }
 
@@ -270,7 +261,7 @@ impl Dataset {
         self.records.is_empty()
     }
 
-    /// Serialize to pretty JSON (the release format).
+    /// Serialize to compact JSON (the release format).
     pub fn to_json(&self) -> serde_json::Result<String> {
         serde_json::to_string(self)
     }
@@ -382,7 +373,7 @@ mod tests {
     #[test]
     fn gap_summary_is_absent_not_null_when_missing() {
         let r = record();
-        let v = r.to_value();
+        let v = serde_json::to_value(&r).unwrap();
         assert!(
             v.get("gaps").is_none(),
             "a gap-free record must not carry a `gaps` key at all"
@@ -405,7 +396,7 @@ mod tests {
             mispronounced: 2,
             skipped: 1,
         });
-        let v = r.to_value();
+        let v = serde_json::to_value(&r).unwrap();
         assert!(v.get("gaps").is_some());
         let back = SiteRecord::from_value(&v).unwrap();
         assert_eq!(back.gaps, r.gaps);

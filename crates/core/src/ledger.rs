@@ -17,7 +17,7 @@
 use crate::selection::{Rejection, SelectedSite};
 use langcrux_crawl::{VisitError, VisitTrace};
 use langcrux_net::{FaultPlan, FetchError};
-use serde::{field, DeError, Deserialize, Serialize, Value};
+use serde::{field, DeError, Deserialize, ObjectWriter, Serialize, Value};
 
 /// Terminal error counts, bucketed by the expanded fault taxonomy.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -121,50 +121,32 @@ pub struct CountryLedger {
 }
 
 impl Serialize for CountryLedger {
-    fn to_value(&self) -> Value {
-        let mut obj = vec![
-            ("country_code".to_string(), self.country_code.to_value()),
-            ("attempted".to_string(), self.attempted.to_value()),
-            ("selected".to_string(), self.selected.to_value()),
-            ("attempts".to_string(), self.attempts.to_value()),
-            ("retries".to_string(), self.retries.to_value()),
-            ("errors".to_string(), self.errors.to_value()),
-            (
-                "rejected_threshold".to_string(),
-                self.rejected_threshold.to_value(),
-            ),
-            (
-                "truncated_bodies".to_string(),
-                self.truncated_bodies.to_value(),
-            ),
-            ("garbled_bodies".to_string(), self.garbled_bodies.to_value()),
-            (
-                "backoff_wait_ms".to_string(),
-                self.backoff_wait_ms.to_value(),
-            ),
-            (
-                "breaker_wait_ms".to_string(),
-                self.breaker_wait_ms.to_value(),
-            ),
-            ("virtual_ms".to_string(), self.virtual_ms.to_value()),
-            ("breaker_opened".to_string(), self.breaker_opened.to_value()),
-            ("breaker_probes".to_string(), self.breaker_probes.to_value()),
-            (
-                "breaker_reclosed".to_string(),
-                self.breaker_reclosed.to_value(),
-            ),
-            ("replacements".to_string(), self.replacements.to_value()),
-            (
-                "max_replacement_run".to_string(),
-                self.max_replacement_run.to_value(),
-            ),
-            ("poisoned_sites".to_string(), self.poisoned_sites.to_value()),
-        ];
+    fn write_json(&self, out: &mut String) -> Result<(), serde::Error> {
+        let mut obj = ObjectWriter::new(out);
+        obj.field("country_code", &self.country_code)?;
+        obj.field("attempted", &self.attempted)?;
+        obj.field("selected", &self.selected)?;
+        obj.field("attempts", &self.attempts)?;
+        obj.field("retries", &self.retries)?;
+        obj.field("errors", &self.errors)?;
+        obj.field("rejected_threshold", &self.rejected_threshold)?;
+        obj.field("truncated_bodies", &self.truncated_bodies)?;
+        obj.field("garbled_bodies", &self.garbled_bodies)?;
+        obj.field("backoff_wait_ms", &self.backoff_wait_ms)?;
+        obj.field("breaker_wait_ms", &self.breaker_wait_ms)?;
+        obj.field("virtual_ms", &self.virtual_ms)?;
+        obj.field("breaker_opened", &self.breaker_opened)?;
+        obj.field("breaker_probes", &self.breaker_probes)?;
+        obj.field("breaker_reclosed", &self.breaker_reclosed)?;
+        obj.field("replacements", &self.replacements)?;
+        obj.field("max_replacement_run", &self.max_replacement_run)?;
+        obj.field("poisoned_sites", &self.poisoned_sites)?;
         if self.gap_pages != 0 || self.gap_regions != 0 {
-            obj.push(("gap_pages".to_string(), self.gap_pages.to_value()));
-            obj.push(("gap_regions".to_string(), self.gap_regions.to_value()));
+            obj.field("gap_pages", &self.gap_pages)?;
+            obj.field("gap_regions", &self.gap_regions)?;
         }
-        Value::Object(obj)
+        obj.end();
+        Ok(())
     }
 }
 
@@ -327,17 +309,17 @@ pub struct CrawlLedger {
 }
 
 impl Serialize for CrawlLedger {
-    fn to_value(&self) -> Value {
-        let mut obj = vec![
-            ("seed".to_string(), self.seed.to_value()),
-            ("fault_plan".to_string(), self.fault_plan.to_value()),
-            ("countries".to_string(), self.countries.to_value()),
-            ("totals".to_string(), self.totals.to_value()),
-        ];
+    fn write_json(&self, out: &mut String) -> Result<(), serde::Error> {
+        let mut obj = ObjectWriter::new(out);
+        obj.field("seed", &self.seed)?;
+        obj.field("fault_plan", &self.fault_plan)?;
+        obj.field("countries", &self.countries)?;
+        obj.field("totals", &self.totals)?;
         if !self.degraded_units.is_empty() {
-            obj.push(("degraded_units".to_string(), self.degraded_units.to_value()));
+            obj.field("degraded_units", &self.degraded_units)?;
         }
-        Value::Object(obj)
+        obj.end();
+        Ok(())
     }
 }
 
@@ -587,7 +569,7 @@ mod tests {
         // Zero counters: no keys at all, so gap-free ledgers serialize
         // byte-identically to pre-gap-dimension ledgers …
         let clean = CountryLedger::new("bd");
-        let v = clean.to_value();
+        let v = serde_json::to_value(&clean).unwrap();
         assert!(v.get("gap_pages").is_none());
         assert!(v.get("gap_regions").is_none());
         // … and old JSON (no keys) still loads, defaulting to 0.
@@ -597,7 +579,7 @@ mod tests {
         let mut gappy = CountryLedger::new("th");
         gappy.gap_pages = 4;
         gappy.gap_regions = 11;
-        let v = gappy.to_value();
+        let v = serde_json::to_value(&gappy).unwrap();
         assert!(v.get("gap_pages").is_some());
         let back = CountryLedger::from_value(&v).unwrap();
         assert_eq!(back, gappy);
@@ -614,7 +596,7 @@ mod tests {
         // Empty: no key at all, so fully recovered (and single-process)
         // ledgers serialize byte-identically to pre-distributed ones …
         let clean = CrawlLedger::new(7, FaultPlan::RELIABLE, vec![CountryLedger::new("bd")]);
-        let v = clean.to_value();
+        let v = serde_json::to_value(&clean).unwrap();
         assert!(v.get("degraded_units").is_none());
         // … and old JSON (no key) still loads, defaulting to empty.
         let back = CrawlLedger::from_value(&v).unwrap();
@@ -627,7 +609,7 @@ mod tests {
             end: 128,
             attempts: 6,
         });
-        let v = degraded.to_value();
+        let v = serde_json::to_value(&degraded).unwrap();
         assert!(v.get("degraded_units").is_some());
         let back = CrawlLedger::from_value(&v).unwrap();
         assert_eq!(back, degraded);

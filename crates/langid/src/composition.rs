@@ -12,7 +12,8 @@ use serde::{Deserialize, Serialize};
 
 /// Shares of a text's distinguishing characters by language bucket.
 /// Percentages are in `[0, 100]` and `native + english + other ≈ 100`
-/// when `total > 0`.
+/// when `total > 0`; for English, `native == english` and
+/// `native + other ≈ 100`.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct Composition {
     /// Percent of distinguishing characters in the native language's
@@ -44,9 +45,11 @@ impl Composition {
 
 /// Compute the [`Composition`] of `text` relative to `native`.
 ///
-/// When the native language's evidence scripts include Latin (they never do
-/// for the candidate pool — all 26 are non-Latin) the English share would be
-/// subsumed; the function debug-asserts against that.
+/// The candidate pool's 26 languages are all non-Latin. English is the one
+/// Latin-script language callers pass (the speak-order model classifies
+/// labels against English on English or undetermined pages): its native
+/// and English buckets are the same characters, so both shares count them
+/// and `other` counts only the rest.
 pub fn composition(text: &str, native: Language) -> Composition {
     composition_of_histogram(&ScriptHistogram::of(text), native)
 }
@@ -54,21 +57,16 @@ pub fn composition(text: &str, native: Language) -> Composition {
 /// Composition from a pre-computed histogram (lets callers aggregate page
 /// text once and derive several measures).
 pub fn composition_of_histogram(hist: &ScriptHistogram, native: Language) -> Composition {
-    debug_assert!(
-        !native.evidence_scripts().contains(&Script::Latin),
-        "composition() is defined for non-Latin native languages"
-    );
     let total = hist.distinguishing_total();
     if total == 0 {
         return Composition::EMPTY;
     }
-    let native_count: usize = native
-        .evidence_scripts()
-        .iter()
-        .map(|&s| hist.count(s))
-        .sum();
+    let scripts = native.evidence_scripts();
+    let native_count: usize = scripts.iter().map(|&s| hist.count(s)).sum();
     let english_count = hist.count(Script::Latin);
-    let other_count = total.saturating_sub(native_count + english_count);
+    let latin_native = scripts.contains(&Script::Latin);
+    let counted = native_count + if latin_native { 0 } else { english_count };
+    let other_count = total.saturating_sub(counted);
     let pct = |n: usize| n as f64 * 100.0 / total as f64;
     Composition {
         native_pct: pct(native_count),
@@ -139,6 +137,15 @@ mod tests {
         let c_ko = composition("中文内容", Language::Korean);
         assert_eq!(c_ko.native_pct, 0.0);
         assert!(c_ko.other_pct > 99.0);
+    }
+
+    #[test]
+    fn english_counts_latin_once() {
+        // 10 Latin letters + 10 Thai letters against English.
+        let c = composition("abcdefghij กกกกกกกกกก", Language::English);
+        assert!((c.native_pct - 50.0).abs() < 1e-9);
+        assert_eq!(c.native_pct, c.english_pct);
+        assert!((c.other_pct - 50.0).abs() < 1e-9);
     }
 
     #[test]

@@ -590,7 +590,7 @@ pub fn route(state: &ServeState, request: &Request) -> Routed {
             }
             // Legacy typed fields plus a `metrics` object rendered from
             // the same encoder pass as `/v1/metrics`.
-            let mut doc = stats.to_value();
+            let mut doc = serde_json::to_value(&stats).expect("stats serialize");
             if let Value::Object(fields) = &mut doc {
                 fields.push((
                     "metrics".to_string(),

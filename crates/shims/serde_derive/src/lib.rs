@@ -7,10 +7,12 @@
 //! * structs with named fields (including empty `{}`),
 //! * enums whose variants are unit, tuple, or struct-like.
 //!
-//! The generated impls target the shim's value-model traits
-//! (`serde::Serialize::to_value` / `serde::Deserialize::from_value`) and use
-//! serde's externally-tagged enum representation so the JSON written by the
-//! `serde_json` shim looks like real serde output.
+//! `Serialize` expands to a streaming writer
+//! (`serde::Serialize::write_json`): named fields go out in declaration
+//! order through `serde::ObjectWriter`, newtypes transparently, tuples as
+//! arrays, and enums in serde's externally tagged form, so the JSON looks
+//! like real serde output. `Deserialize` expands to
+//! `serde::Deserialize::from_value` over the parsed `serde::Value` tree.
 
 use proc_macro::{Delimiter, TokenStream, TokenTree};
 use std::str::FromStr;
@@ -207,42 +209,63 @@ fn parse_item(input: TokenStream) -> Item {
     }
 }
 
-fn named_to_value(fields: &[String], access: impl Fn(&str) -> String) -> String {
-    let entries: Vec<String> = fields
+/// Statements writing a JSON object of named fields; `access` renders the
+/// `&T` expression of each field.
+fn write_named(fields: &[String], access: impl Fn(&str) -> String) -> String {
+    if fields.is_empty() {
+        return "::serde::ObjectWriter::new(out).end();".to_string();
+    }
+    let writes: String = fields
         .iter()
-        .map(|f| {
-            format!(
-                "(\"{f}\".to_string(), ::serde::Serialize::to_value({})),",
-                access(f)
-            )
-        })
+        .map(|f| format!("obj.field(\"{f}\", {})?;", access(f)))
         .collect();
-    format!("::serde::Value::Object(vec![{}])", entries.join(""))
+    format!("let mut obj = ::serde::ObjectWriter::new(out); {writes} obj.end();")
+}
+
+/// Statements writing a JSON array of the `&T` expressions `items`.
+fn write_seq(items: &[String]) -> String {
+    let writes: Vec<String> = items
+        .iter()
+        .map(|item| format!("::serde::Serialize::write_json({item}, out)?;"))
+        .collect();
+    format!(
+        "out.push('['); {} out.push(']');",
+        writes.join(" out.push(',');")
+    )
+}
+
+/// A statement appending `json` verbatim. Variant names are Rust
+/// identifiers, so quoting them needs no escaping.
+fn push_json(json: &str) -> String {
+    format!("out.push_str({json:?});")
+}
+
+/// Statements writing serde's externally tagged form, `{"tag":…}`, around
+/// the statements `inner`.
+fn write_tagged(tag: &str, inner: &str) -> String {
+    format!(
+        "{} {inner} out.push('}}');",
+        push_json(&format!("{{\"{tag}\":"))
+    )
 }
 
 #[proc_macro_derive(Serialize)]
 pub fn derive_serialize(input: TokenStream) -> TokenStream {
     let item = parse_item(input);
-    let out = match &item {
+    let (name, body) = match &item {
         Item::Struct { name, fields } => {
             let body = match fields {
-                Fields::Named(fields) => named_to_value(fields, |f| format!("&self.{f}")),
+                Fields::Named(fields) => write_named(fields, |f| format!("&self.{f}")),
                 // Newtype structs serialize transparently, wider tuple
                 // structs as arrays — serde's representations.
-                Fields::Tuple(1) => "::serde::Serialize::to_value(&self.0)".to_string(),
+                Fields::Tuple(1) => "::serde::Serialize::write_json(&self.0, out)?;".to_string(),
                 Fields::Tuple(n) => {
-                    let vals: Vec<String> = (0..*n)
-                        .map(|k| format!("::serde::Serialize::to_value(&self.{k}),"))
-                        .collect();
-                    format!("::serde::Value::Array(vec![{}])", vals.join(""))
+                    let items: Vec<String> = (0..*n).map(|k| format!("&self.{k}")).collect();
+                    write_seq(&items)
                 }
                 Fields::Unit => unreachable!(),
             };
-            format!(
-                "impl ::serde::Serialize for {name} {{\n\
-                     fn to_value(&self) -> ::serde::Value {{ {body} }}\n\
-                 }}"
-            )
+            (name, body)
         }
         Item::Enum { name, variants } => {
             let arms: Vec<String> = variants
@@ -251,45 +274,46 @@ pub fn derive_serialize(input: TokenStream) -> TokenStream {
                     let vn = &v.name;
                     match &v.fields {
                         Fields::Unit => {
-                            format!("{name}::{vn} => ::serde::Value::Str(\"{vn}\".to_string()),")
+                            format!("{name}::{vn} => {{ {} }}", push_json(&format!("\"{vn}\"")))
                         }
                         Fields::Tuple(1) => format!(
-                            "{name}::{vn}(f0) => ::serde::Value::Object(vec![\
-                             (\"{vn}\".to_string(), ::serde::Serialize::to_value(f0))]),"
+                            "{name}::{vn}(f0) => {{ {} }}",
+                            write_tagged(vn, "::serde::Serialize::write_json(f0, out)?;")
                         ),
                         Fields::Tuple(n) => {
                             let binds: Vec<String> = (0..*n).map(|k| format!("f{k}")).collect();
-                            let vals: Vec<String> = (0..*n)
-                                .map(|k| format!("::serde::Serialize::to_value(f{k}),"))
-                                .collect();
                             format!(
-                                "{name}::{vn}({}) => ::serde::Value::Object(vec![\
-                                 (\"{vn}\".to_string(), ::serde::Value::Array(vec![{}]))]),",
+                                "{name}::{vn}({}) => {{ {} }}",
                                 binds.join(", "),
-                                vals.join("")
+                                write_tagged(vn, &write_seq(&binds))
                             )
                         }
+                        // Bindings are prefixed so a field named `out` or
+                        // `obj` cannot shadow the writer's own variables.
                         Fields::Named(fields) => {
-                            let inner = named_to_value(fields, |f| f.to_string());
+                            let binds: Vec<String> =
+                                fields.iter().map(|f| format!("{f}: __{f}")).collect();
                             format!(
-                                "{name}::{vn} {{ {} }} => ::serde::Value::Object(vec![\
-                                 (\"{vn}\".to_string(), {inner})]),",
-                                fields.join(", ")
+                                "{name}::{vn} {{ {} }} => {{ {} }}",
+                                binds.join(", "),
+                                write_tagged(vn, &write_named(fields, |f| format!("__{f}")))
                             )
                         }
                     }
                 })
                 .collect();
-            format!(
-                "impl ::serde::Serialize for {name} {{\n\
-                     fn to_value(&self) -> ::serde::Value {{\n\
-                         match self {{ {} }}\n\
-                     }}\n\
-                 }}",
-                arms.join("\n")
-            )
+            (name, format!("match self {{ {} }}", arms.join("\n")))
         }
     };
+    let out = format!(
+        "impl ::serde::Serialize for {name} {{\n\
+             fn write_json(&self, out: &mut ::std::string::String) \
+                 -> ::std::result::Result<(), ::serde::Error> {{\n\
+                 {body}\n\
+                 ::std::result::Result::Ok(())\n\
+             }}\n\
+         }}"
+    );
     TokenStream::from_str(&out).expect("serde_derive: generated impl must parse")
 }
 

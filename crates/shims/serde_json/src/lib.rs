@@ -1,9 +1,16 @@
 //! Minimal in-tree stand-in for `serde_json`.
 //!
-//! Renders the serde shim's [`Value`] model as compact JSON and parses JSON
-//! back into it. Output is deterministic: object keys keep insertion order
-//! (struct declaration order) and floats print via Rust's shortest
-//! round-trip formatting.
+//! [`to_string`] is the serde shim's streaming writer and nothing more:
+//! it hands an empty `String` to `Serialize::write_json`, which appends
+//! compact JSON with no intermediate tree. Parsing goes the other way,
+//! from JSON text into the shim's [`Value`] tree, which [`from_str`] then
+//! deserializes.
+//!
+//! [`to_value`] and [`to_string_pretty`] are for cold callers that want a
+//! tree: they parse the writer's own bytes, so the tree holds exactly
+//! what `to_string` would write, and printing it compactly gives those
+//! bytes back. Output is deterministic: object keys keep declaration
+//! order and floats print via Rust's shortest round-trip formatting.
 
 pub use serde::Value;
 use serde::{Deserialize, Serialize};
@@ -26,19 +33,30 @@ impl From<serde::DeError> for Error {
     }
 }
 
+impl From<serde::Error> for Error {
+    fn from(e: serde::Error) -> Self {
+        Error(e.0)
+    }
+}
+
 pub type Result<T> = std::result::Result<T, Error>;
 
 /// Serialize a value to a compact JSON string.
 pub fn to_string<T: Serialize + ?Sized>(value: &T) -> Result<String> {
     let mut out = String::new();
-    write_value(&value.to_value(), &mut out)?;
+    value.write_json(&mut out)?;
     Ok(out)
+}
+
+/// The [`Value`] tree of a value's JSON, parsed back from [`to_string`].
+pub fn to_value<T: Serialize + ?Sized>(value: &T) -> Result<Value> {
+    parse_value(&to_string(value)?)
 }
 
 /// Serialize to pretty-printed JSON (two-space indent).
 pub fn to_string_pretty<T: Serialize + ?Sized>(value: &T) -> Result<String> {
     let mut out = String::new();
-    write_pretty(&value.to_value(), &mut out, 0)?;
+    write_pretty(&to_value(value)?, &mut out, 0)?;
     Ok(out)
 }
 
@@ -46,66 +64,6 @@ pub fn to_string_pretty<T: Serialize + ?Sized>(value: &T) -> Result<String> {
 pub fn from_str<T: Deserialize>(s: &str) -> Result<T> {
     let value = parse_value(s)?;
     Ok(T::from_value(&value)?)
-}
-
-fn write_escaped(s: &str, out: &mut String) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
-fn write_float(f: f64, out: &mut String) -> Result<()> {
-    if !f.is_finite() {
-        return Err(Error(format!("non-finite float {f} is not valid JSON")));
-    }
-    out.push_str(&format!("{f}"));
-    Ok(())
-}
-
-fn write_value(v: &Value, out: &mut String) -> Result<()> {
-    match v {
-        Value::Null => out.push_str("null"),
-        Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-        Value::Int(i) => out.push_str(&i.to_string()),
-        Value::UInt(u) => out.push_str(&u.to_string()),
-        Value::Float(f) => write_float(*f, out)?,
-        Value::Str(s) => write_escaped(s, out),
-        Value::Array(items) => {
-            out.push('[');
-            for (i, item) in items.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                write_value(item, out)?;
-            }
-            out.push(']');
-        }
-        Value::Object(entries) => {
-            out.push('{');
-            for (i, (k, val)) in entries.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                write_escaped(k, out);
-                out.push(':');
-                write_value(val, out)?;
-            }
-            out.push('}');
-        }
-    }
-    Ok(())
 }
 
 fn write_pretty(v: &Value, out: &mut String, indent: usize) -> Result<()> {
@@ -132,7 +90,7 @@ fn write_pretty(v: &Value, out: &mut String, indent: usize) -> Result<()> {
                     out.push_str(",\n");
                 }
                 pad(out, indent + 1);
-                write_escaped(k, out);
+                serde::write_str(k, out);
                 out.push_str(": ");
                 write_pretty(val, out, indent + 1)?;
             }
@@ -141,7 +99,7 @@ fn write_pretty(v: &Value, out: &mut String, indent: usize) -> Result<()> {
             out.push('}');
             Ok(())
         }
-        other => write_value(other, out),
+        other => Ok(other.write_json(out)?),
     }
 }
 
@@ -307,19 +265,25 @@ impl<'a> Parser<'a> {
         }
         let text = std::str::from_utf8(&self.bytes[start..self.pos])
             .map_err(|_| self.err("invalid number"))?;
-        if is_float {
-            text.parse::<f64>()
-                .map(Value::Float)
-                .map_err(|_| self.err("invalid float"))
-        } else if let Some(stripped) = text.strip_prefix('-') {
-            stripped
-                .parse::<u64>()
-                .map(|u| Value::Int(-(u as i64)))
-                .map_err(|_| self.err("invalid integer"))
-        } else {
-            text.parse::<u64>()
-                .map(Value::UInt)
-                .map_err(|_| self.err("invalid integer"))
+        // Integers parse over their whole text, sign included, as `i64`
+        // when negative and `u64` otherwise. `-0` and integers outside
+        // that type's range read as floats, as real serde_json reads
+        // them: the writer prints floats of 2^64 and more without a `.`.
+        let integer = match text {
+            _ if is_float => None,
+            "-0" => Some(Value::Float(-0.0)),
+            _ if text.starts_with('-') => text.parse::<i64>().ok().map(Value::Int),
+            _ => text.parse::<u64>().ok().map(Value::UInt),
+        };
+        match integer {
+            Some(v) => Ok(v),
+            None => text.parse::<f64>().map(Value::Float).map_err(|_| {
+                self.err(if is_float {
+                    "invalid float"
+                } else {
+                    "invalid integer"
+                })
+            }),
         }
     }
 
@@ -387,6 +351,11 @@ fn parse_value(s: &str) -> Result<Value> {
 mod tests {
     use super::*;
 
+    /// Parse `json` and write it back compactly.
+    fn reprint(json: &str) -> String {
+        to_string(&parse_value(json).unwrap()).unwrap()
+    }
+
     #[test]
     fn scalars_round_trip() {
         for json in [
@@ -399,20 +368,14 @@ mod tests {
             "1.5",
             "\"hi\"",
         ] {
-            let v = parse_value(json).unwrap();
-            let mut out = String::new();
-            write_value(&v, &mut out).unwrap();
-            assert_eq!(out, json);
+            assert_eq!(reprint(json), json);
         }
     }
 
     #[test]
     fn nested_round_trip() {
         let json = r#"{"a":[1,2,{"b":null}],"c":"x\ny","d":-2.5}"#;
-        let v = parse_value(json).unwrap();
-        let mut out = String::new();
-        write_value(&v, &mut out).unwrap();
-        assert_eq!(out, json);
+        assert_eq!(reprint(json), json);
     }
 
     #[test]
@@ -436,5 +399,139 @@ mod tests {
         assert!(pretty.contains('\n'));
         let back: Vec<u32> = from_str(&pretty).unwrap();
         assert_eq!(back, data);
+    }
+
+    #[test]
+    fn to_value_writes_back_the_same_bytes() {
+        fn check<T: Serialize>(x: T) {
+            let bytes = to_string(&x).unwrap();
+            let tree = to_value(&x).unwrap();
+            assert_eq!(to_string(&tree).unwrap(), bytes);
+        }
+        for f in [0.1, 1e-7, -0.0, 1e20, f64::MAX, 5e-324] {
+            check(f);
+        }
+        check(i64::MIN);
+        check(u64::MAX);
+    }
+
+    #[test]
+    fn integers_parse_over_their_whole_text() {
+        let min = to_string(&i64::MIN).unwrap();
+        assert_eq!(from_str::<i64>(&min), Ok(i64::MIN));
+        assert_eq!(from_str::<i8>("-128"), Ok(-128));
+        // Beyond i64: a float, so no integer type accepts it.
+        assert_eq!(
+            parse_value("-18446744073709551615"),
+            Ok(Value::Float(-18_446_744_073_709_551_615.0))
+        );
+        assert!(from_str::<u64>("-18446744073709551615").is_err());
+        assert!(from_str::<i64>("-9223372036854775809").is_err());
+    }
+
+    #[test]
+    fn integer_literals_beyond_u64_read_as_floats() {
+        assert_eq!(to_string(&1e20).unwrap(), "100000000000000000000");
+        assert_eq!(from_str::<f64>("100000000000000000000"), Ok(1e20));
+        assert_eq!(from_str::<u64>("18446744073709551615"), Ok(u64::MAX));
+        assert!(from_str::<u64>("18446744073709551616").is_err());
+    }
+
+    #[test]
+    fn minus_zero_reads_as_a_negative_float() {
+        let v = from_str::<f64>("-0").unwrap();
+        assert!(v == 0.0 && v.is_sign_negative());
+        assert_eq!(to_string(&v).unwrap(), "-0");
+    }
+
+    #[derive(Serialize)]
+    enum Shape {
+        Unit,
+        Newtype(u8),
+        Tuple(u8, String),
+        Struct { a: Option<u8>, b: Vec<Vec<u8>> },
+    }
+
+    #[derive(Serialize)]
+    struct Empty {}
+
+    #[derive(Serialize)]
+    struct Newtype(String);
+
+    #[derive(Serialize)]
+    struct Pair(u8, bool);
+
+    #[derive(Serialize)]
+    struct Record {
+        name: String,
+        missing: Option<u8>,
+        nested: Vec<Vec<i32>>,
+        shapes: Vec<Shape>,
+    }
+
+    #[test]
+    fn derived_enums_are_externally_tagged() {
+        assert_eq!(to_string(&Shape::Unit).unwrap(), r#""Unit""#);
+        assert_eq!(to_string(&Shape::Newtype(7)).unwrap(), r#"{"Newtype":7}"#);
+        assert_eq!(
+            to_string(&Shape::Tuple(1, "x".into())).unwrap(),
+            r#"{"Tuple":[1,"x"]}"#
+        );
+        let s = Shape::Struct {
+            a: None,
+            b: vec![vec![1], vec![]],
+        };
+        assert_eq!(
+            to_string(&s).unwrap(),
+            r#"{"Struct":{"a":null,"b":[[1],[]]}}"#
+        );
+    }
+
+    #[test]
+    fn derived_structs_write_fields_in_declaration_order() {
+        assert_eq!(to_string(&Empty {}).unwrap(), "{}");
+        assert_eq!(to_string(&Newtype("n".into())).unwrap(), r#""n""#);
+        assert_eq!(to_string(&Pair(2, true)).unwrap(), "[2,true]");
+        let r = Record {
+            name: "a\"b".into(),
+            missing: None,
+            nested: vec![vec![-1, 2], vec![]],
+            shapes: vec![Shape::Unit, Shape::Newtype(0)],
+        };
+        assert_eq!(
+            to_string(&r).unwrap(),
+            r#"{"name":"a\"b","missing":null,"nested":[[-1,2],[]],"shapes":["Unit",{"Newtype":0}]}"#
+        );
+    }
+
+    #[test]
+    fn non_finite_floats_are_rejected_at_any_depth() {
+        #[derive(Serialize)]
+        struct Inner {
+            x: f64,
+        }
+        #[derive(Serialize)]
+        struct Middle {
+            inner: Vec<Inner>,
+        }
+        #[derive(Serialize)]
+        struct Outer {
+            middle: Middle,
+        }
+        let doc = Outer {
+            middle: Middle {
+                inner: vec![Inner { x: f64::NAN }],
+            },
+        };
+        let err = to_string(&doc).unwrap_err();
+        assert_eq!(err.0, "non-finite float NaN is not valid JSON");
+        let err = to_string(&f32::INFINITY).unwrap_err();
+        assert_eq!(err.0, "non-finite float inf is not valid JSON");
+    }
+
+    #[test]
+    fn control_characters_use_unicode_escapes() {
+        assert_eq!(to_string("\u{1f}").unwrap(), r#""\u001f""#);
+        assert_eq!(to_string("\u{0}\t").unwrap(), r#""\u0000\t""#);
     }
 }
