@@ -57,27 +57,13 @@ pub fn weight(kind: ElementKind) -> f64 {
     }
 }
 
-/// The accessible name under ARIA fallback: a present, non-empty
-/// accessibility text wins; otherwise the visible inner text.
-fn accessible_name(element: &ExtractedElement) -> Option<String> {
-    if let Some(text) = element.content() {
-        return Some(text.to_string());
-    }
-    element
-        .visible_fallback
-        .as_deref()
-        .map(str::trim)
-        .filter(|t| !t.is_empty())
-        .map(str::to_string)
-}
-
 /// Evaluate one element against its kind's rule. `true` = passes.
 pub fn element_passes(element: &ExtractedElement) -> bool {
     match element.kind {
         // Fails only when there is no name from any source (attribute or
         // visible text). Empty aria-label alone does not fail a button
         // that has no other name in Lighthouse's observed behaviour.
-        ElementKind::ButtonName => accessible_name(element).is_some() || element.is_empty_text(),
+        ElementKind::ButtonName => element.accessible_name().is_some() || element.is_empty_text(),
         // Passes when absent; fails when present but empty.
         ElementKind::DocumentTitle => element.is_missing() || element.content().is_some(),
         // Fails when missing or empty.
@@ -91,7 +77,7 @@ pub fn element_passes(element: &ExtractedElement) -> bool {
         // Lenient rules: never fail.
         ElementKind::Label | ElementKind::SummaryName | ElementKind::SvgImgAlt => true,
         // Fail when no accessible name resolves (attribute or inner text).
-        ElementKind::LinkName | ElementKind::ObjectAlt => accessible_name(element).is_some(),
+        ElementKind::LinkName | ElementKind::ObjectAlt => element.accessible_name().is_some(),
     }
 }
 

@@ -64,6 +64,19 @@ impl ExtractedElement {
             .map(str::trim)
             .filter(|t| !t.is_empty())
     }
+
+    /// The accessible name under ARIA fallback: present, non-blank
+    /// accessibility text wins; otherwise the trimmed visible inner text
+    /// (buttons, links), if that is non-blank. The audit rules and the
+    /// screen-reader simulation share this one rule.
+    pub fn accessible_name(&self) -> Option<&str> {
+        self.content().or_else(|| {
+            self.visible_fallback
+                .as_deref()
+                .map(str::trim)
+                .filter(|t| !t.is_empty())
+        })
+    }
 }
 
 /// Everything the crawler extracts from one page.
@@ -295,16 +308,18 @@ pub fn extract(doc: &Document) -> PageExtract {
                 out.elements.push(el);
             }
             "input" => {
-                let input_type = doc.attr(id, "type").unwrap_or("text").to_ascii_lowercase();
-                match input_type.as_str() {
-                    "image" => out.elements.push(attr_element(
+                let input_type = doc.attr(id, "type").unwrap_or("text");
+                let is = |t: &str| input_type.eq_ignore_ascii_case(t);
+                if is("image") {
+                    out.elements.push(attr_element(
                         doc,
                         id,
                         ElementKind::InputImageAlt,
                         &[("alt", TextSource::Alt)],
                         None,
-                    )),
-                    "submit" | "button" | "reset" => out.elements.push(attr_element(
+                    ));
+                } else if is("submit") || is("button") || is("reset") {
+                    out.elements.push(attr_element(
                         doc,
                         id,
                         ElementKind::InputButtonName,
@@ -313,25 +328,23 @@ pub fn extract(doc: &Document) -> PageExtract {
                             ("aria-label", TextSource::AriaLabel),
                         ],
                         None,
-                    )),
-                    "hidden" => {}
-                    _ => {
-                        // Text-like controls: the `label` audit target.
-                        let mut el = attr_element(
-                            doc,
-                            id,
-                            ElementKind::Label,
-                            &[("aria-label", TextSource::AriaLabel)],
-                            None,
-                        );
-                        if el.text.is_none() {
-                            if let Some(label) = doc.attr(id, "id").and_then(|i| label_for.get(i)) {
-                                el.text = Some(label.clone());
-                                el.source = Some(TextSource::AssociatedLabel);
-                            }
+                    ));
+                } else if !is("hidden") {
+                    // Text-like controls: the `label` audit target.
+                    let mut el = attr_element(
+                        doc,
+                        id,
+                        ElementKind::Label,
+                        &[("aria-label", TextSource::AriaLabel)],
+                        None,
+                    );
+                    if el.text.is_none() {
+                        if let Some(label) = doc.attr(id, "id").and_then(|i| label_for.get(i)) {
+                            el.text = Some(label.clone());
+                            el.source = Some(TextSource::AssociatedLabel);
                         }
-                        out.elements.push(el);
                     }
+                    out.elements.push(el);
                 }
             }
             _ => {}
@@ -524,6 +537,30 @@ mod tests {
                 "{text:?}"
             );
         }
+    }
+
+    #[test]
+    fn accessible_name_prefers_content_then_trimmed_fallback() {
+        let el = |text: Option<&str>, fallback: Option<&str>| ExtractedElement {
+            kind: ElementKind::ButtonName,
+            text: text.map(str::to_string),
+            source: text.map(|_| TextSource::AriaLabel),
+            visible_fallback: fallback.map(str::to_string),
+        };
+        // Present content wins, trimmed, over any fallback.
+        assert_eq!(
+            el(Some(" close "), Some("X")).accessible_name(),
+            Some("close")
+        );
+        // Blank or missing content falls back to the trimmed inner text.
+        assert_eq!(
+            el(Some("  "), Some("  Open  ")).accessible_name(),
+            Some("Open")
+        );
+        assert_eq!(el(None, Some("Open")).accessible_name(), Some("Open"));
+        // Both blank (or absent): no name.
+        assert_eq!(el(Some(" "), Some("\t\n")).accessible_name(), None);
+        assert_eq!(el(None, None).accessible_name(), None);
     }
 
     #[test]

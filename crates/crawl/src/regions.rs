@@ -29,7 +29,13 @@
 //! oracle via [`langcrux_html::walk_events`] — so the derived regions are
 //! identical by construction wherever the two walks deliver the same
 //! events (pinned in `langcrux-html`).
+//!
+//! While the walk runs, region roles and languages are spans of one
+//! per-page string arena, so an element inside a `lang` context costs no
+//! copy of that language; `RegionTracker::finish` copies out only the
+//! regions it returns.
 
+use langcrux_html::scratch::ScratchBuffer;
 use langcrux_html::stream::StreamSink;
 use langcrux_html::tokenizer::Attribute;
 use langcrux_lang::script::ScriptHistogram;
@@ -57,10 +63,40 @@ fn is_landmark(name: &str) -> bool {
     matches!(name, "nav" | "header" | "footer" | "main" | "aside")
 }
 
-/// Normalise a `lang` attribute to its lowercased primary subtag.
-fn primary_subtag(value: &str) -> Option<String> {
+/// A byte range of a per-page string arena.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Span {
+    start: usize,
+    end: usize,
+}
+
+impl Span {
+    /// Append `text` to `arena` and return where it landed.
+    pub(crate) fn push(arena: &mut String, text: &str) -> Span {
+        let start = arena.len();
+        arena.push_str(text);
+        Span {
+            start,
+            end: arena.len(),
+        }
+    }
+
+    /// The spanned text of `arena`.
+    pub(crate) fn of(self, arena: &str) -> &str {
+        &arena[self.start..self.end]
+    }
+}
+
+/// Append the lowercased primary subtag of a `lang` attribute to
+/// `arena`; `None`, appending nothing, when the subtag is empty.
+fn push_primary_subtag(arena: &mut String, value: &str) -> Option<Span> {
     let primary = value.trim().split(['-', '_']).next().unwrap_or("");
-    (!primary.is_empty()).then(|| primary.to_ascii_lowercase())
+    if primary.is_empty() {
+        return None;
+    }
+    let span = Span::push(arena, primary);
+    arena[span.start..].make_ascii_lowercase();
+    Some(span)
 }
 
 /// Per-open-element bookkeeping (one frame per `element_start`).
@@ -69,30 +105,78 @@ struct Frame {
     pushed_lang: bool,
 }
 
-/// Event-driven region builder; see the module docs.
+/// A [`LangRegion`] under construction: role and language are spans of
+/// the tracker's arena.
+struct OpenRegion {
+    role: Span,
+    lang: Option<Span>,
+    explicit: bool,
+    hist: ScriptHistogram,
+}
+
+/// Event-driven region builder; see the module docs. The streaming
+/// extractor keeps one per thread and [`Self::clear_capped`]s it between
+/// pages.
 #[derive(Default)]
 pub(crate) struct RegionTracker {
-    regions: Vec<LangRegion>,
+    regions: Vec<OpenRegion>,
     /// Indices into `regions` for currently open regions, innermost last.
     active: Vec<usize>,
     frames: Vec<Frame>,
     /// Effective explicit-lang stack (primary subtags, innermost last).
-    langs: Vec<String>,
+    langs: Vec<Span>,
+    /// Role names and primary subtags of this page's regions.
+    arena: String,
 }
 
 impl RegionTracker {
     /// Close out the walk and return regions that saw any visible text,
-    /// in document order of opening.
-    pub(crate) fn finish(self) -> Vec<LangRegion> {
-        self.regions
-            .into_iter()
-            .filter(|r| r.hist.total > 0)
-            .collect()
+    /// in document order of opening, as an exact-size `Vec`.
+    pub(crate) fn finish(&self) -> Vec<LangRegion> {
+        let seen = |r: &&OpenRegion| r.hist.total > 0;
+        let mut out = Vec::with_capacity(self.regions.iter().filter(seen).count());
+        out.extend(self.regions.iter().filter(seen).map(|r| LangRegion {
+            role: r.role.of(&self.arena).to_owned(),
+            lang: r.lang.map(|l| l.of(&self.arena).to_owned()),
+            explicit: r.explicit,
+            hist: r.hist.clone(),
+        }));
+        out
     }
 
-    fn open_region(&mut self, role: &str, lang: Option<String>, explicit: bool) {
-        self.regions.push(LangRegion {
-            role: role.to_string(),
+    /// Empty every buffer for the next page, dropping any above the
+    /// scratch cap.
+    pub(crate) fn clear_capped(&mut self) {
+        let RegionTracker {
+            regions,
+            active,
+            frames,
+            langs,
+            arena,
+        } = self;
+        regions.clear_capped();
+        active.clear_capped();
+        frames.clear_capped();
+        langs.clear_capped();
+        arena.clear_capped();
+    }
+
+    /// The heap bytes of each buffer held.
+    #[cfg(test)]
+    pub(crate) fn allocations(&self) -> [usize; 5] {
+        [
+            self.regions.allocated(),
+            self.active.allocated(),
+            self.frames.allocated(),
+            self.langs.allocated(),
+            self.arena.allocated(),
+        ]
+    }
+
+    fn open_region(&mut self, role: &str, lang: Option<Span>, explicit: bool) {
+        let role = Span::push(&mut self.arena, role);
+        self.regions.push(OpenRegion {
+            role,
             lang,
             explicit,
             hist: ScriptHistogram::default(),
@@ -111,12 +195,12 @@ impl StreamSink for RegionTracker {
             let lang_attr = attrs
                 .iter()
                 .find(|a| a.name == "lang")
-                .and_then(|a| primary_subtag(&a.value));
-            let inherited = self.langs.last().cloned();
+                .and_then(|a| push_primary_subtag(&mut self.arena, &a.value));
             let root = name == "html" && self.regions.is_empty();
             if root || lang_attr.is_some() || is_landmark(name) {
                 let role = if root { "page" } else { name };
-                let lang = lang_attr.clone().or(inherited);
+                // Only an opening region takes the inherited language.
+                let lang = lang_attr.or_else(|| self.langs.last().copied());
                 self.open_region(role, lang, lang_attr.is_some());
                 frame.opened_region = true;
             }
@@ -147,7 +231,7 @@ impl StreamSink for RegionTracker {
             None => {
                 // Visible text before (or outside) any region-opening
                 // element: attribute it to an implicit page region.
-                self.open_region("page", self.langs.last().cloned(), false);
+                self.open_region("page", self.langs.last().copied(), false);
                 // The implicit region has no closing element; leave it
                 // active for the rest of the document.
                 *self.active.last().expect("region just opened")

@@ -24,13 +24,30 @@
 //! * **SVG context**: a `<title>` inside any `<svg>` never becomes the
 //!   document title; the first *direct* `<title>` child of an
 //!   `<svg role="img">` without `aria-label` becomes its name.
+//!
+//! **Per-thread buffers.** The extractor's own state — the element list,
+//! the open-element and capture stacks, the capture buffers, the label
+//! bookkeeping and the region tracker — lives in a thread-local slot
+//! between pages, next to `langcrux-html`'s lexer and walk buffers (see
+//! [`langcrux_html::scratch`]). A page therefore allocates only what the
+//! returned [`PageExtract`] owns: exact-size copies of its element list,
+//! texts, regions and visible text. The slot follows the scratch rules:
+//! a nested call on the same thread gets fresh buffers, a call that
+//! panics drops its buffers, and between pages each buffer, and the pool
+//! of spare capture buffers as a whole, keeps at most 64 KiB
+//! ([`CAP_BYTES`]). `tests/extract_allocs.rs` at the repository
+//! root pins the allocation count.
+//!
+//! [`CAP_BYTES`]: langcrux_html::scratch::CAP_BYTES
 
 use crate::extract::{ExtractedElement, PageExtract, TextSource};
-use crate::regions::RegionTracker;
+use crate::regions::{RegionTracker, Span};
+use langcrux_html::scratch::{cap_pool, ScratchBuffer};
 use langcrux_html::stream::{stream_extract, StreamSink};
 use langcrux_html::tokenizer::Attribute;
 use langcrux_lang::a11y::ElementKind;
-use std::collections::HashMap;
+use langcrux_lang::script::ScriptHistogram;
+use std::cell::Cell;
 
 /// Extract all accessibility elements plus page-level facts directly from
 /// the HTML text, without building a DOM. Identical output to
@@ -47,11 +64,13 @@ use std::collections::HashMap;
 /// assert_eq!(page, extract(&parse(html)));
 /// ```
 pub fn extract_streaming(html: &str) -> PageExtract {
-    let (visible_text, visible_hist, sink) = stream_extract(html, ExtractSink::new());
-    let mut out = sink.finish();
-    out.visible_text = visible_text;
-    out.visible_hist = visible_hist;
-    out
+    let (visible_text, visible_hist, sink) = stream_extract(html, ExtractSink::take());
+    sink.finish(visible_text, visible_hist)
+}
+
+thread_local! {
+    /// This thread's extractor between pages; see the module docs.
+    static SCRATCH: Cell<Option<ExtractSink>> = const { Cell::new(None) };
 }
 
 /// What happens to a capture buffer when its element closes.
@@ -65,14 +84,24 @@ enum CaptureKind {
     TextIfMissing(usize),
     /// First direct `<title>` child of an `<svg role="img">`.
     SvgTitle(usize),
-    /// A `<label for=…>` body; `(start_seq, target_id)` — ordered by
-    /// element start so the first label in document order wins.
-    LabelFor(usize, String),
+    /// A `<label for=…>` body: its element start number (the first label
+    /// in document order wins) and its `for` target, a span of
+    /// `ExtractSink::label_arena`.
+    LabelFor(usize, Span),
 }
 
 struct Capture {
     buf: String,
     kind: CaptureKind,
+}
+
+/// A completed `<label for=…>` body awaiting association. Target and
+/// text are spans of `ExtractSink::label_arena`.
+struct LabelEntry {
+    target: Span,
+    /// Element start number.
+    seq: usize,
+    text: Span,
 }
 
 /// Per-open-element record on the sink's own stack (kept in lockstep with
@@ -87,22 +116,33 @@ struct Open {
     is_svg: bool,
 }
 
+/// The streaming extractor: one page's state, in buffers that the
+/// thread keeps between pages ([`Self::take`] / [`Self::finish`]).
+#[derive(Default)]
 struct ExtractSink {
+    /// `elements[0]` is the document-title slot, pushed by
+    /// [`Self::take`].
     elements: Vec<ExtractedElement>,
     declared_lang: Option<String>,
     html_seen: bool,
-    /// True until the first `<title>` outside any `<svg>` claims the
+    /// Set when the first `<title>` outside any `<svg>` claims the
     /// document-title slot.
-    doc_title_pending: bool,
+    doc_title_claimed: bool,
     /// Open `<svg>` ancestors (their `<title>`s are never the document
     /// title).
     svg_depth: usize,
     stack: Vec<Open>,
     captures: Vec<Capture>,
-    /// Completed `(start_seq, for_target, text)` label bodies.
-    label_entries: Vec<(usize, String, String)>,
-    /// `(element index, control id)` pairs awaiting label association.
-    fixups: Vec<(usize, String)>,
+    /// Capture buffers not in use. Taken and returned LIFO, so a capture
+    /// at a given nesting depth refills the same buffer page after page.
+    spare_bufs: Vec<String>,
+    /// Label `for` targets, label texts and control ids of this page.
+    label_arena: String,
+    /// Completed label bodies.
+    label_entries: Vec<LabelEntry>,
+    /// `(element index, control id)` pairs awaiting label association;
+    /// ids are spans of `label_arena`.
+    fixups: Vec<(usize, Span)>,
     /// Element start counter (document order of starts).
     seq: usize,
     /// Per-subtree language regions, fed from the same event stream.
@@ -142,93 +182,169 @@ fn attr_element(
 }
 
 impl ExtractSink {
-    fn new() -> Self {
-        ExtractSink {
-            // The document-title slot is always elements[0]; it is filled
-            // in place when the first eligible <title> closes.
-            elements: vec![ExtractedElement {
-                kind: ElementKind::DocumentTitle,
-                text: None,
-                source: None,
-                visible_fallback: None,
-            }],
-            declared_lang: None,
-            html_seen: false,
-            doc_title_pending: true,
-            svg_depth: 0,
-            stack: Vec::new(),
-            captures: Vec::new(),
-            label_entries: Vec::new(),
-            fixups: Vec::new(),
-            seq: 0,
-            regions: RegionTracker::default(),
-        }
+    /// This thread's extractor, or a fresh one if a call further up the
+    /// stack holds it, ready for a page.
+    fn take() -> Self {
+        let mut sink = SCRATCH.take().unwrap_or_default();
+        // The document-title slot is always elements[0]; it is filled in
+        // place when the first eligible <title> closes.
+        sink.elements.push(ExtractedElement {
+            kind: ElementKind::DocumentTitle,
+            text: None,
+            source: None,
+            visible_fallback: None,
+        });
+        sink
+    }
+
+    /// Resolve deferred label associations, return the page with
+    /// exact-size buffers, and hand the extractor back to the thread.
+    fn finish(mut self, visible_text: String, visible_hist: ScriptHistogram) -> PageExtract {
+        self.associate_labels();
+        let page = PageExtract {
+            visible_text,
+            visible_hist,
+            declared_lang: self.declared_lang.take(),
+            elements: self.elements.drain(..).collect(),
+            regions: self.regions.finish(),
+        };
+        self.clear_capped();
+        SCRATCH.set(Some(self));
+        page
+    }
+
+    /// Reset to the empty state for the next page, dropping any buffer
+    /// above the scratch cap and trimming the spare capture buffers to
+    /// it.
+    fn clear_capped(&mut self) {
+        let ExtractSink {
+            elements,
+            declared_lang,
+            html_seen,
+            doc_title_claimed,
+            svg_depth,
+            stack,
+            captures,
+            spare_bufs,
+            label_arena,
+            label_entries,
+            fixups,
+            seq,
+            regions,
+        } = self;
+        elements.clear_capped();
+        *declared_lang = None;
+        *html_seen = false;
+        *doc_title_claimed = false;
+        *svg_depth = 0;
+        stack.clear_capped();
+        captures.clear_capped();
+        cap_pool(spare_bufs);
+        label_arena.clear_capped();
+        label_entries.clear_capped();
+        fixups.clear_capped();
+        *seq = 0;
+        regions.clear_capped();
+    }
+
+    /// The heap bytes of each buffer held, a pool counting as one.
+    #[cfg(test)]
+    fn allocations(&self) -> Vec<usize> {
+        [
+            self.elements.allocated(),
+            self.stack.allocated(),
+            self.captures.allocated(),
+            langcrux_html::scratch::pool_allocated(&self.spare_bufs),
+            self.label_arena.allocated(),
+            self.label_entries.allocated(),
+            self.fixups.allocated(),
+        ]
+        .into_iter()
+        .chain(self.regions.allocations())
+        .collect()
     }
 
     fn open_capture(&mut self, open: &mut Open, kind: CaptureKind) {
-        self.captures.push(Capture {
-            buf: String::new(),
-            kind,
-        });
+        let buf = self.spare_bufs.pop().unwrap_or_default();
+        self.captures.push(Capture { buf, kind });
         open.captures_opened += 1;
     }
 
+    /// Queue the element just pushed for association with the label
+    /// that names its `id`, if it has one.
+    fn await_label(&mut self, attrs: &[Attribute]) {
+        if let Some(id) = attr_of(attrs, "id") {
+            let id = Span::push(&mut self.label_arena, id);
+            self.fixups.push((self.elements.len() - 1, id));
+        }
+    }
+
     fn complete_capture(&mut self, capture: Capture) {
-        let Capture { buf, kind } = capture;
+        let Capture { mut buf, kind } = capture;
+        let text = || Some(buf.as_str().to_owned());
         match kind {
             CaptureKind::DocTitle => {
                 self.elements[0] = ExtractedElement {
                     kind: ElementKind::DocumentTitle,
-                    text: Some(buf),
+                    text: text(),
                     source: Some(TextSource::TextContent),
                     visible_fallback: None,
                 };
             }
             CaptureKind::Fallback(idx) => {
-                self.elements[idx].visible_fallback = Some(buf);
+                self.elements[idx].visible_fallback = text();
             }
             CaptureKind::TextIfMissing(idx) => {
                 let el = &mut self.elements[idx];
                 if el.text.is_none() && !buf.trim().is_empty() {
-                    el.text = Some(buf);
+                    el.text = text();
                     el.source = Some(TextSource::TextContent);
                 }
             }
             CaptureKind::SvgTitle(idx) => {
                 let el = &mut self.elements[idx];
                 if el.text.is_none() {
-                    el.text = Some(buf);
+                    el.text = text();
                     el.source = Some(TextSource::TitleChild);
                 }
             }
             CaptureKind::LabelFor(seq, target) => {
-                self.label_entries.push((seq, target, buf));
+                let text = Span::push(&mut self.label_arena, &buf);
+                self.label_entries.push(LabelEntry { target, seq, text });
             }
         }
+        buf.clear();
+        self.spare_bufs.push(buf);
     }
 
-    /// Resolve deferred label associations and hand back the element list.
-    fn finish(mut self) -> PageExtract {
-        // First label in document (start) order wins per target — captures
-        // complete in close order, which differs for nested labels.
-        self.label_entries.sort_by_key(|(seq, _, _)| *seq);
-        let mut label_for: HashMap<String, String> = HashMap::new();
-        for (_, target, text) in self.label_entries {
-            label_for.entry(target).or_insert(text);
-        }
-        for (idx, id) in self.fixups {
-            if let Some(label) = label_for.get(&id) {
-                let el = &mut self.elements[idx];
-                el.text = Some(label.clone());
+    /// Give each control awaiting a label the text of the first
+    /// `<label for>` naming its id, in document (start) order — captures
+    /// complete in close order, which differs for nested labels.
+    fn associate_labels(&mut self) {
+        let ExtractSink {
+            elements,
+            label_arena: arena,
+            label_entries,
+            fixups,
+            ..
+        } = self;
+        let arena = arena.as_str();
+        // Sorted by (target, start), the first entry for a target is its
+        // winning label. Sequence numbers are unique, so the unstable
+        // (non-allocating) sort is deterministic.
+        label_entries
+            .sort_unstable_by(|a, b| (a.target.of(arena), a.seq).cmp(&(b.target.of(arena), b.seq)));
+        for &(idx, id) in fixups.iter() {
+            let id = id.of(arena);
+            let first = label_entries.partition_point(|e| e.target.of(arena) < id);
+            if let Some(label) = label_entries
+                .get(first)
+                .filter(|e| e.target.of(arena) == id)
+            {
+                let el = &mut elements[idx];
+                el.text = Some(label.text.of(arena).to_owned());
                 el.source = Some(TextSource::AssociatedLabel);
             }
-        }
-        PageExtract {
-            visible_text: String::new(),
-            visible_hist: Default::default(),
-            declared_lang: self.declared_lang,
-            elements: self.elements,
-            regions: self.regions.finish(),
         }
     }
 }
@@ -253,8 +369,8 @@ impl StreamSink for ExtractSink {
                 // this title nests under.
                 if let Some(idx) = self.stack.last_mut().and_then(|p| p.svg_slot.take()) {
                     self.open_capture(&mut open, CaptureKind::SvgTitle(idx));
-                } else if self.svg_depth == 0 && self.doc_title_pending {
-                    self.doc_title_pending = false;
+                } else if self.svg_depth == 0 && !self.doc_title_claimed {
+                    self.doc_title_claimed = true;
                     self.open_capture(&mut open, CaptureKind::DocTitle);
                 }
             }
@@ -339,50 +455,45 @@ impl StreamSink for ExtractSink {
                 let missing = el.text.is_none();
                 self.elements.push(el);
                 if missing {
-                    if let Some(id) = attr_of(attrs, "id") {
-                        self.fixups.push((self.elements.len() - 1, id.to_string()));
-                    }
+                    self.await_label(attrs);
                 }
             }
             "input" => {
-                let input_type = attr_of(attrs, "type")
-                    .unwrap_or("text")
-                    .to_ascii_lowercase();
-                match input_type.as_str() {
-                    "image" => self.elements.push(attr_element(
+                let input_type = attr_of(attrs, "type").unwrap_or("text");
+                let is = |t: &str| input_type.eq_ignore_ascii_case(t);
+                if is("image") {
+                    self.elements.push(attr_element(
                         attrs,
                         ElementKind::InputImageAlt,
                         &[("alt", TextSource::Alt)],
-                    )),
-                    "submit" | "button" | "reset" => self.elements.push(attr_element(
+                    ));
+                } else if is("submit") || is("button") || is("reset") {
+                    self.elements.push(attr_element(
                         attrs,
                         ElementKind::InputButtonName,
                         &[
                             ("value", TextSource::Value),
                             ("aria-label", TextSource::AriaLabel),
                         ],
-                    )),
-                    "hidden" => {}
-                    _ => {
-                        // Text-like controls: the `label` audit target.
-                        let el = attr_element(
-                            attrs,
-                            ElementKind::Label,
-                            &[("aria-label", TextSource::AriaLabel)],
-                        );
-                        let missing = el.text.is_none();
-                        self.elements.push(el);
-                        if missing {
-                            if let Some(id) = attr_of(attrs, "id") {
-                                self.fixups.push((self.elements.len() - 1, id.to_string()));
-                            }
-                        }
+                    ));
+                } else if !is("hidden") {
+                    // Text-like controls: the `label` audit target.
+                    let el = attr_element(
+                        attrs,
+                        ElementKind::Label,
+                        &[("aria-label", TextSource::AriaLabel)],
+                    );
+                    let missing = el.text.is_none();
+                    self.elements.push(el);
+                    if missing {
+                        self.await_label(attrs);
                     }
                 }
             }
             "label" => {
                 if let Some(target) = attr_of(attrs, "for") {
-                    self.open_capture(&mut open, CaptureKind::LabelFor(seq, target.to_string()));
+                    let target = Span::push(&mut self.label_arena, target);
+                    self.open_capture(&mut open, CaptureKind::LabelFor(seq, target));
                 }
             }
             _ => {}
@@ -420,6 +531,7 @@ mod tests {
     use super::*;
     use crate::extract::extract;
     use langcrux_html::parse;
+    use langcrux_html::scratch::CAP_BYTES;
 
     fn assert_matches_dom(html: &str) {
         let dom = extract(&parse(html));
@@ -498,6 +610,10 @@ mod tests {
             // Hidden-subtree attributes in every hiding form.
             r#"<div hidden=hidden><p>a</p></div><div aria-hidden="TRUE">b</div>
                <div style="display : none">c</div>ok"#,
+            // Any ASCII whitespace around the ':' still hides.
+            "<div style=\"display:\tnone\"><button>a</button></div>b",
+            "<nav style=\"display:\nnone\">a</nav><p>b</p>",
+            "<html lang=bn><section lang=en style=\"visibility :\thidden\">a</section>b",
             // Unterminated raw text swallows to EOF.
             "<script>everything<p>else",
             "<title>unterminated title<p>tail",
@@ -508,6 +624,147 @@ mod tests {
         ] {
             assert_matches_dom(html);
         }
+    }
+
+    /// A page built to leave every extractor buffer dirty and oversized:
+    /// an unclosed `<button>` capturing the rest of the page, nested
+    /// labels, 200 nested links around one text (200 capture buffers,
+    /// each under the cap but together far above it), 3,000-deep nesting
+    /// inside a `lang` region, and 200 KB attribute values where the
+    /// extractor keeps them (`alt`, a label target, a control id, a
+    /// `lang` subtag).
+    fn adversarial_page() -> String {
+        let big = "ছ".repeat(70_000);
+        let mut html = format!(
+            "<html lang=bn><title>প্রথম</title>\
+             <label for=q>outer<label for=q>inner</label></label>\
+             <label for=\"{big}\">long target</label><input id=\"{big}\">"
+        );
+        html.push_str(&"<a href=/x>".repeat(200));
+        html.push_str(&"লিংক ".repeat(400));
+        html.push_str(&"</a>".repeat(200));
+        html.push_str(&format!("<section lang=\"{big}\"><button>unclosed "));
+        html.push_str(&"<div>".repeat(3000));
+        html.push_str(&format!("<img alt=\"{big}\"><svg role=img><g>"));
+        html.push_str(&"text &amp; more ".repeat(6_000));
+        html
+    }
+
+    /// Shares ids, kinds and regions with [`adversarial_page`], so state
+    /// leaking from it would show.
+    const NORMAL_PAGE: &str = "<html lang=th><head><title>หน้า</title></head><body>\
+        <nav>Home</nav><main><p>สวัสดี</p><img src=a.png alt=ภาพ>\
+        <input id=q><select id=s></select><label for=s>เลือก</label>\
+        <button>ส่ง</button><svg role=img><title>ไอคอน</title></svg></main></body></html>";
+
+    /// `html` must extract to the DOM oracle and to exactly what a fresh
+    /// thread (fresh scratch) extracts.
+    fn assert_clean_extract(html: &str) {
+        assert_matches_dom(html);
+        let owned = html.to_string();
+        let fresh = std::thread::spawn(move || extract_streaming(&owned))
+            .join()
+            .expect("fresh thread");
+        assert_eq!(
+            extract_streaming(html),
+            fresh,
+            "differs from a fresh thread"
+        );
+    }
+
+    #[test]
+    fn scratch_is_clean_after_an_adversarial_page() {
+        assert_matches_dom(&adversarial_page());
+        assert_clean_extract(NORMAL_PAGE);
+    }
+
+    /// Feeds an extractor taken from the thread, like
+    /// [`extract_streaming`], and runs `on_text` at every text event.
+    struct Wrapped<F> {
+        sink: ExtractSink,
+        on_text: F,
+    }
+
+    impl<F: FnMut(&str)> StreamSink for Wrapped<F> {
+        fn element_start(&mut self, name: &str, attrs: &[Attribute], visible: bool) {
+            self.sink.element_start(name, attrs, visible);
+        }
+        fn element_end(&mut self, name: &str) {
+            self.sink.element_end(name);
+        }
+        fn text(&mut self, text: &str, visible: bool) {
+            (self.on_text)(text);
+            self.sink.text(text, visible);
+        }
+    }
+
+    fn wrapped_extract(html: &str, on_text: impl FnMut(&str)) -> PageExtract {
+        let wrapped = Wrapped {
+            sink: ExtractSink::take(),
+            on_text,
+        };
+        let (text, hist, wrapped) = stream_extract(html, wrapped);
+        wrapped.sink.finish(text, hist)
+    }
+
+    #[test]
+    fn nested_extraction_gets_fresh_buffers() {
+        let outer = "<html lang=bn><title>বাইরে</title><label for=i>নাম</label>\
+            <button>চাপুন<nav>Home</nav></button><input id=i></html>";
+        let mut inner = None;
+        let page = wrapped_extract(outer, |_| {
+            if inner.is_none() {
+                inner = Some(extract_streaming(NORMAL_PAGE));
+            }
+        });
+        assert_eq!(page, extract(&parse(outer)));
+        assert_eq!(inner, Some(extract(&parse(NORMAL_PAGE))));
+        assert_clean_extract(NORMAL_PAGE);
+    }
+
+    #[test]
+    fn a_panicking_sink_leaves_no_state_behind() {
+        // The panic hits inside an open button and label, with a region
+        // open and label bookkeeping recorded.
+        let page = "<html lang=bn><title>t</title><label for=q>label</label>\
+            <section lang=en><button>text<label for=s>boom</label></button>";
+        let caught = std::panic::catch_unwind(|| {
+            wrapped_extract(page, |text| assert_ne!(text, "boom", "sink failure"))
+        });
+        assert!(caught.is_err());
+        assert_clean_extract(NORMAL_PAGE);
+    }
+
+    /// The heap bytes of each buffer this thread's extractor keeps
+    /// between pages, a pool counting as one.
+    fn scratch_allocations() -> Vec<usize> {
+        let sink = SCRATCH.take();
+        let allocations = sink
+            .as_ref()
+            .map_or_else(Vec::new, ExtractSink::allocations);
+        SCRATCH.set(sink);
+        allocations
+    }
+
+    #[test]
+    fn scratch_keeps_no_buffer_above_the_cap() {
+        let page = extract_streaming(&adversarial_page());
+        let button = page.of_kind(ElementKind::ButtonName).next().unwrap();
+        let fallback = button.visible_fallback.as_deref().unwrap();
+        assert!(fallback.len() > CAP_BYTES, "the page must overflow the cap");
+        // Each buffer, and each pool as a whole, keeps at most the cap,
+        // which bounds what the thread keeps in total.
+        let kept = scratch_allocations();
+        let largest = kept.iter().copied().max().unwrap_or(0);
+        assert!(largest <= CAP_BYTES, "scratch kept a {largest}-byte buffer");
+        let total: usize = kept.iter().sum();
+        assert!(
+            total <= kept.len() * CAP_BYTES,
+            "scratch kept {total} bytes"
+        );
+        // An ordinary page's buffers are kept.
+        extract_streaming(NORMAL_PAGE);
+        assert!(scratch_allocations().iter().sum::<usize>() > 0);
     }
 
     #[test]

@@ -19,6 +19,8 @@
 //! * [`stream`] — streaming tokenize→extract: the visible text and script
 //!   histogram straight from tokenizer events, with no DOM allocation
 //!   (the crawl path's hot loop; byte-identical to the DOM walk).
+//! * [`scratch`] — the per-thread buffers the streaming path reuses
+//!   between pages, and the 64 KiB cap on what they keep.
 //! * [`builder`] — balanced, escaped HTML construction for the generator.
 //! * [`mod@serialize`] — DOM → HTML re-emission (normalising round trip).
 //!
@@ -30,6 +32,7 @@ pub mod builder;
 pub mod dom;
 pub mod entities;
 pub mod parser;
+pub mod scratch;
 pub mod serialize;
 pub mod stream;
 pub mod tokenizer;

@@ -23,15 +23,27 @@
 //! [`StreamSink`] to observe element starts/ends and text runs from the
 //! same single pass.
 //!
+//! The walk's working buffers — the open-element stack, its name arena,
+//! the entity-decode buffer and the visible-text buffer — are per-thread
+//! scratch ([`crate::scratch`]), kept between pages together with the
+//! lexer's: on a warm thread a page costs one allocation here, the
+//! exact-size copy of its visible text. A nested call on the same thread
+//! works in fresh buffers, a call that panics drops its buffers, and
+//! between pages each buffer, and the lexer's pool of spare attribute
+//! strings as a whole, keeps at most [`CAP_BYTES`] (64 KiB).
+//!
+//! [`CAP_BYTES`]: crate::scratch::CAP_BYTES
 //! [`Normaliser`]: crate::visible
 //! [`visible_text_histogram`]: crate::visible::visible_text_histogram
 
 use crate::dom::{Document, NodeId, NodeKind};
 use crate::entities::decode_into;
 use crate::parser::{closes_same, is_void_element};
+use crate::scratch::ScratchBuffer;
 use crate::tokenizer::{tokenize_into, Attribute, TokenSink};
 use crate::visible::{attrs_hide, element_hidden, is_block, is_non_rendering, Normaliser};
 use langcrux_lang::script::ScriptHistogram;
+use std::cell::Cell;
 
 /// Observer of tree-level events during a streaming extraction pass.
 ///
@@ -82,13 +94,22 @@ pub fn stream_visible_text_histogram(html: &str) -> (String, ScriptHistogram) {
 /// through the emulated open-element stack, visible text is normalised
 /// into the returned `(text, histogram)`, and every tree-level event is
 /// forwarded to `sink`. Returns the sink for state recovery.
+///
+/// The walk runs in this thread's scratch buffers (see the module docs);
+/// the returned text is an exact-size copy.
 pub fn stream_extract<S: StreamSink>(html: &str, sink: S) -> (String, ScriptHistogram, S) {
+    let WalkScratch {
+        stack,
+        names,
+        text_buf,
+        out,
+    } = SCRATCH.take().unwrap_or_default();
     let mut walk = StreamWalk {
-        stack: Vec::new(),
-        names: String::new(),
+        stack,
+        names,
         skip_depth: 0,
-        normaliser: Normaliser::new(ScriptHistogram::default()),
-        text_buf: String::new(),
+        normaliser: Normaliser::with_buffer(out, ScriptHistogram::default()),
+        text_buf,
         sink,
     };
     tokenize_into(html, &mut walk);
@@ -98,7 +119,70 @@ pub fn stream_extract<S: StreamSink>(html: &str, sink: S) -> (String, ScriptHist
     while !walk.stack.is_empty() {
         walk.pop_one();
     }
-    (walk.normaliser.out, walk.normaliser.tally, walk.sink)
+    let StreamWalk {
+        stack,
+        names,
+        normaliser,
+        text_buf,
+        sink,
+        ..
+    } = walk;
+    let text = normaliser.out.as_str().to_owned();
+    let mut scratch = WalkScratch {
+        stack,
+        names,
+        text_buf,
+        out: normaliser.out,
+    };
+    scratch.recycle();
+    SCRATCH.set(Some(scratch));
+    (text, normaliser.tally, sink)
+}
+
+thread_local! {
+    /// This thread's walk buffers between pages; see [`crate::scratch`].
+    static SCRATCH: Cell<Option<WalkScratch>> = const { Cell::new(None) };
+}
+
+/// The streaming walk's reusable buffers (the fields of [`StreamWalk`]
+/// that outlive a page).
+#[derive(Default)]
+struct WalkScratch {
+    stack: Vec<OpenElement>,
+    names: String,
+    text_buf: String,
+    /// The visible text under construction.
+    out: String,
+}
+
+impl WalkScratch {
+    /// Empty the buffers for the next page, dropping any above the
+    /// scratch cap.
+    fn recycle(&mut self) {
+        self.stack.clear_capped();
+        self.names.clear_capped();
+        self.text_buf.clear_capped();
+        self.out.clear_capped();
+    }
+}
+
+/// The heap bytes of each buffer this thread's walk and lexer scratch
+/// keep between pages, a pool counting as one.
+#[cfg(test)]
+pub(crate) fn scratch_allocations() -> Vec<usize> {
+    let scratch = SCRATCH.take();
+    let walk = scratch.as_ref().map_or([0; 4], |s| {
+        [
+            s.stack.allocated(),
+            s.names.allocated(),
+            s.text_buf.allocated(),
+            s.out.allocated(),
+        ]
+    });
+    SCRATCH.set(scratch);
+    walk.into_iter()
+        .chain(crate::tokenizer::scratch_allocations())
+        .collect()
 }
 
 /// Replay the tree-level events of a parsed [`Document`] into a
@@ -447,6 +531,132 @@ mod tests {
             walk_events(&parse(html), &mut dom_events);
             assert_eq!(streamed, dom_events, "events diverged on {html:?}");
         }
+    }
+
+    /// Every event a sink sees, with attributes, as strings.
+    #[derive(Default, PartialEq, Debug)]
+    struct Recorder(Vec<String>);
+
+    impl StreamSink for Recorder {
+        fn element_start(&mut self, name: &str, attrs: &[Attribute], visible: bool) {
+            let attrs: Vec<String> = attrs
+                .iter()
+                .map(|a| format!("{}={}", a.name, a.value))
+                .collect();
+            self.0
+                .push(format!("+{name}[{}]/{visible}", attrs.join(";")));
+        }
+        fn element_end(&mut self, name: &str) {
+            self.0.push(format!("-{name}"));
+        }
+        fn text(&mut self, text: &str, visible: bool) {
+            self.0.push(format!("t:{text}/{visible}"));
+        }
+    }
+
+    /// A page built to leave every scratch buffer dirty and oversized:
+    /// elements left open (one of them hiding), 3,000-deep nesting,
+    /// nested labels, a 200 KB attribute, a tag whose 40 attributes are
+    /// each under the cap but together far above it, and long
+    /// entity-laden text.
+    fn adversarial_page() -> String {
+        let mut html = String::from(
+            "<html lang=bn><title>t</title><label for=q>a<label for=q>b</label>\
+             <button class=x data-y='&amp;z'>unclosed ",
+        );
+        html.push_str("<p");
+        for i in 0..40 {
+            html.push_str(&format!(" data-{i}=\"{}\"", "v".repeat(4_000)));
+        }
+        html.push('>');
+        html.push_str(&"x &amp; y ".repeat(12_000));
+        html.push_str("<div hidden>still open");
+        html.push_str(&"<div>".repeat(3000));
+        html.push_str(&format!("<img alt=\"{}\">", "ছ".repeat(70_000)));
+        html
+    }
+
+    const NORMAL_PAGE: &str = "<html lang=th><head><title>หน้า</title></head><body>\
+        <p class=lead>สวัสดี &amp; ok</p><img src=a.png alt=ภาพ><input id=q>\
+        <div style=\"display:\tnone\">hidden</div><p>ท้าย</p></body></html>";
+
+    /// The walk's full output for `html`: visible text, histogram and the
+    /// sink's events.
+    fn walk_output(html: &str) -> (String, ScriptHistogram, Recorder) {
+        stream_extract(html, Recorder::default())
+    }
+
+    /// `html` must stream to the DOM oracle's text and histogram, and to
+    /// exactly what a fresh thread (fresh scratch) produces.
+    fn assert_clean_extract(html: &str) {
+        assert_stream_matches_dom(html);
+        let owned = html.to_string();
+        let fresh = std::thread::spawn(move || walk_output(&owned))
+            .join()
+            .expect("fresh thread");
+        assert_eq!(walk_output(html), fresh, "differs from a fresh thread");
+    }
+
+    #[test]
+    fn scratch_is_clean_after_an_adversarial_page() {
+        assert_stream_matches_dom(&adversarial_page());
+        assert_clean_extract(NORMAL_PAGE);
+    }
+
+    #[test]
+    fn nested_extraction_gets_fresh_buffers() {
+        const INNER: &str = "<p>inner <b>text</b></p><div hidden>no</div>";
+        const OUTER: &str = "<div lang=en><p>outer <i>text</i></p></div><p>tail</p>";
+        /// Extracts `INNER` from inside the outer walk's first text event.
+        #[derive(Default)]
+        struct Reentrant(Option<(String, ScriptHistogram)>);
+        impl StreamSink for Reentrant {
+            fn text(&mut self, _: &str, _: bool) {
+                if self.0.is_none() {
+                    self.0 = Some(stream_visible_text_histogram(INNER));
+                }
+            }
+        }
+        let (text, hist, sink) = stream_extract(OUTER, Reentrant::default());
+        assert_eq!((text, hist), visible_text_histogram(&parse(OUTER)));
+        assert_eq!(sink.0, Some(visible_text_histogram(&parse(INNER))));
+        assert_clean_extract(NORMAL_PAGE);
+    }
+
+    #[test]
+    fn a_panicking_sink_leaves_no_state_behind() {
+        /// Panics at the first text inside the hidden subtree, with
+        /// elements open, attributes lexed and visible text pending.
+        struct Bomb;
+        impl StreamSink for Bomb {
+            fn text(&mut self, text: &str, _: bool) {
+                assert!(!text.contains("boom"), "sink failure");
+            }
+        }
+        let page = "<html lang=en><p class=a>visible text<div hidden data-x=y><b>boom";
+        let caught = std::panic::catch_unwind(|| stream_extract(page, Bomb));
+        assert!(caught.is_err());
+        assert_clean_extract(NORMAL_PAGE);
+    }
+
+    #[test]
+    fn scratch_keeps_no_buffer_above_the_cap() {
+        use crate::scratch::CAP_BYTES;
+        let (text, _, _) = walk_output(&adversarial_page());
+        assert!(text.len() > CAP_BYTES, "the page must overflow the cap");
+        // Each buffer, and each pool as a whole, keeps at most the cap,
+        // which bounds what the thread keeps in total.
+        let kept = scratch_allocations();
+        let largest = kept.iter().copied().max().unwrap_or(0);
+        assert!(largest <= CAP_BYTES, "scratch kept a {largest}-byte buffer");
+        let total: usize = kept.iter().sum();
+        assert!(
+            total <= kept.len() * CAP_BYTES,
+            "scratch kept {total} bytes"
+        );
+        // An ordinary page's buffers are kept.
+        walk_output(NORMAL_PAGE);
+        assert!(scratch_allocations().iter().sum::<usize>() > 0);
     }
 
     #[test]

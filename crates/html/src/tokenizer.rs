@@ -17,11 +17,17 @@
 //! * [`tokenize_into`] pushes borrowed lexemes straight into a caller sink —
 //!   this is the entry point of the streaming extraction path
 //!   ([`crate::stream`]), which never allocates a token buffer or a DOM.
+//!   Its tag-name and attribute buffers are per-thread scratch
+//!   ([`crate::scratch`]), reused across tags and documents, so on a warm
+//!   thread a sink that keeps nothing sees a whole page lexed without one
+//!   allocation.
 
-use crate::entities::decode;
+use crate::entities::{decode, decode_into};
+use crate::scratch::{cap_pool, ScratchBuffer};
+use std::cell::Cell;
 
 /// One attribute on a start tag. Values are entity-decoded.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Attribute {
     pub name: String,
     pub value: String,
@@ -71,9 +77,12 @@ fn raw_text_static_name(name: &str) -> Option<&'static str> {
 ///
 /// * `name` slices are already lower-cased.
 /// * `attrs` arrives deduplicated (first occurrence wins) with
-///   entity-decoded values. A sink that wants ownership may
-///   `std::mem::take` the `Vec`; the lexer clears it before the next tag
-///   either way, so taking is free and not taking reuses the allocation.
+///   entity-decoded values. The lexer reuses attribute `String`s across
+///   tags and documents: when the call returns it takes the attributes
+///   back and refills their strings for later tags, so a sink that keeps
+///   a name or value must copy it. A sink that wants ownership may
+///   instead `std::mem::take` the whole `Vec` (the DOM builder does);
+///   the lexer then starts the next tag with fresh strings.
 /// * `text` arrives **undecoded**; `decode_entities` says whether the
 ///   owned-token path would run [`decode`] over it (true for ordinary
 ///   character data and the "escapable raw text" elements
@@ -111,8 +120,83 @@ pub fn tokenize(input: &str) -> Vec<Token> {
 /// Tokenize an HTML document, pushing each lexeme into `sink`. Never
 /// panics on any input. [`tokenize`] is exactly this with a `Vec<Token>`
 /// sink, so every consumer shares one lexer.
+///
+/// The lexer's buffers come from this thread's scratch (a nested call
+/// gets fresh ones), so a warm thread lexes a page into a sink that
+/// keeps nothing without allocating.
 pub fn tokenize_into<S: TokenSink>(input: &str, sink: &mut S) {
-    Tokenizer::new(input, sink).run();
+    let mut lexer = Tokenizer {
+        input,
+        bytes: input.as_bytes(),
+        pos: 0,
+        sink,
+        scratch: SCRATCH.take().unwrap_or_default(),
+    };
+    lexer.run();
+    let mut scratch = lexer.scratch;
+    scratch.recycle();
+    SCRATCH.set(Some(scratch));
+}
+
+thread_local! {
+    /// This thread's lexer buffers between calls; see [`crate::scratch`].
+    static SCRATCH: Cell<Option<LexScratch>> = const { Cell::new(None) };
+}
+
+/// A pooled attribute slot: its two strings.
+impl ScratchBuffer for Attribute {
+    fn allocated(&self) -> usize {
+        self.name.allocated() + self.value.allocated()
+    }
+
+    fn clear_capped(&mut self) {
+        self.name.clear_capped();
+        self.value.clear_capped();
+    }
+}
+
+/// The lexer's reusable buffers.
+#[derive(Default)]
+struct LexScratch {
+    /// The current tag name, lower-cased.
+    name: String,
+    /// The current tag's attributes, as the sink sees them.
+    attrs: Vec<Attribute>,
+    /// Attributes waiting to be refilled, in slot order: the top is the
+    /// next tag's first attribute, so each attribute position reuses the
+    /// same two strings from tag to tag.
+    spare: Vec<Attribute>,
+}
+
+impl LexScratch {
+    /// Empty the buffers for the next document, dropping any above the
+    /// scratch cap and trimming the spare pool to it.
+    fn recycle(&mut self) {
+        self.name.clear_capped();
+        self.attrs.clear_capped();
+        cap_pool(&mut self.spare);
+    }
+
+    /// The heap bytes of each buffer, a pool counting as one.
+    #[cfg(test)]
+    fn allocations(&self) -> [usize; 3] {
+        use crate::scratch::pool_allocated;
+        [
+            self.name.allocated(),
+            pool_allocated(&self.attrs),
+            pool_allocated(&self.spare),
+        ]
+    }
+}
+
+/// The heap bytes of each buffer this thread's lexer scratch keeps
+/// between documents, a pool counting as one.
+#[cfg(test)]
+pub(crate) fn scratch_allocations() -> [usize; 3] {
+    let scratch = SCRATCH.take();
+    let allocations = scratch.as_ref().map_or([0; 3], LexScratch::allocations);
+    SCRATCH.set(scratch);
+    allocations
 }
 
 /// The sink behind [`tokenize`]: materialises owned [`Token`]s.
@@ -158,26 +242,11 @@ struct Tokenizer<'a, S> {
     bytes: &'a [u8],
     pos: usize,
     sink: &'a mut S,
-    /// Scratch for the current tag name (lower-cased); reused across tags.
-    name_buf: String,
-    /// Scratch for the current tag's attributes; reused across tags unless
-    /// the sink takes it.
-    attrs_buf: Vec<Attribute>,
+    scratch: LexScratch,
 }
 
 impl<'a, S: TokenSink> Tokenizer<'a, S> {
-    fn new(input: &'a str, sink: &'a mut S) -> Self {
-        Tokenizer {
-            input,
-            bytes: input.as_bytes(),
-            pos: 0,
-            sink,
-            name_buf: String::new(),
-            attrs_buf: Vec::new(),
-        }
-    }
-
-    fn run(mut self) {
+    fn run(&mut self) {
         while self.pos < self.bytes.len() {
             if self.bytes[self.pos] == b'<' {
                 self.lex_angle();
@@ -256,11 +325,12 @@ impl<'a, S: TokenSink> Tokenizer<'a, S> {
     }
 
     /// Lower-case `src` into the name scratch buffer.
-    fn set_name(name_buf: &mut String, src: &str) {
-        name_buf.clear();
-        // Tag names are ASCII-alphanumeric plus '-', so per-byte
+    fn set_name(name: &mut String, src: &str) {
+        name.clear();
+        name.push_str(src);
+        // Tag names are ASCII-alphanumeric plus '-', so ASCII
         // lower-casing is exact.
-        name_buf.extend(src.bytes().map(|b| b.to_ascii_lowercase() as char));
+        name.make_ascii_lowercase();
     }
 
     fn lex_end_tag(&mut self) {
@@ -271,14 +341,14 @@ impl<'a, S: TokenSink> Tokenizer<'a, S> {
         {
             i += 1;
         }
-        Self::set_name(&mut self.name_buf, &self.input[name_start..i]);
+        Self::set_name(&mut self.scratch.name, &self.input[name_start..i]);
         // Skip to '>'.
         while i < self.bytes.len() && self.bytes[i] != b'>' {
             i += 1;
         }
         self.pos = (i + 1).min(self.bytes.len());
-        if !self.name_buf.is_empty() {
-            self.sink.end_tag(&self.name_buf);
+        if !self.scratch.name.is_empty() {
+            self.sink.end_tag(&self.scratch.name);
         }
     }
 
@@ -290,17 +360,21 @@ impl<'a, S: TokenSink> Tokenizer<'a, S> {
         {
             i += 1;
         }
-        Self::set_name(&mut self.name_buf, &self.input[name_start..i]);
+        Self::set_name(&mut self.scratch.name, &self.input[name_start..i]);
         self.pos = i;
         let self_closing = self.lex_attributes();
         let raw_name: Option<&'static str> = if self_closing {
             None
         } else {
-            raw_text_static_name(self.name_buf.as_str())
+            raw_text_static_name(self.scratch.name.as_str())
         };
-        self.sink
-            .start_tag(&self.name_buf, &mut self.attrs_buf, self_closing);
-        self.attrs_buf.clear();
+        let LexScratch { name, attrs, spare } = &mut self.scratch;
+        self.sink.start_tag(name, attrs, self_closing);
+        // Take the attributes back for reuse, last first, so the next
+        // tag's first attribute refills this tag's first.
+        while let Some(attr) = attrs.pop() {
+            spare.push(attr);
+        }
         if let Some(name) = raw_name {
             self.lex_raw_text(name);
         }
@@ -339,7 +413,7 @@ impl<'a, S: TokenSink> Tokenizer<'a, S> {
 
     /// Lex attributes into the scratch buffer; returns the self-closing flag.
     fn lex_attributes(&mut self) -> bool {
-        debug_assert!(self.attrs_buf.is_empty());
+        debug_assert!(self.scratch.attrs.is_empty());
         let mut self_closing = false;
         loop {
             self.skip_whitespace();
@@ -362,8 +436,11 @@ impl<'a, S: TokenSink> Tokenizer<'a, S> {
                 _ => {
                     if let Some(attr) = self.lex_one_attribute() {
                         // First occurrence wins, as in browsers.
-                        if !self.attrs_buf.iter().any(|a| a.name == attr.name) {
-                            self.attrs_buf.push(attr);
+                        let attrs = &mut self.scratch.attrs;
+                        if attrs.iter().any(|a| a.name == attr.name) {
+                            self.scratch.spare.push(attr);
+                        } else {
+                            attrs.push(attr);
                         }
                     } else {
                         // Couldn't make progress; skip a byte defensively.
@@ -375,6 +452,8 @@ impl<'a, S: TokenSink> Tokenizer<'a, S> {
         self_closing
     }
 
+    /// Lex one attribute into a recycled [`Attribute`] (fresh strings
+    /// only when the spare pool is empty).
     fn lex_one_attribute(&mut self) -> Option<Attribute> {
         let start = self.pos;
         while self.pos < self.bytes.len()
@@ -388,24 +467,22 @@ impl<'a, S: TokenSink> Tokenizer<'a, S> {
         if self.pos == start {
             return None;
         }
-        let name = self.input[start..self.pos].to_ascii_lowercase();
+        let mut attr = self.scratch.spare.pop().unwrap_or_default();
+        attr.name.clear();
+        attr.name.push_str(&self.input[start..self.pos]);
+        attr.name.make_ascii_lowercase();
+        attr.value.clear();
         self.skip_whitespace();
         if self.pos >= self.bytes.len() || self.bytes[self.pos] != b'=' {
             // Boolean attribute: <input disabled>
-            return Some(Attribute {
-                name,
-                value: String::new(),
-            });
+            return Some(attr);
         }
         self.pos += 1; // consume '='
         self.skip_whitespace();
         if self.pos >= self.bytes.len() {
-            return Some(Attribute {
-                name,
-                value: String::new(),
-            });
+            return Some(attr);
         }
-        let value = match self.bytes[self.pos] {
+        let raw = match self.bytes[self.pos] {
             q @ (b'"' | b'\'') => {
                 self.pos += 1;
                 let vstart = self.pos;
@@ -414,7 +491,7 @@ impl<'a, S: TokenSink> Tokenizer<'a, S> {
                 }
                 let raw = &self.input[vstart..self.pos];
                 self.pos = (self.pos + 1).min(self.bytes.len()); // closing quote
-                decode(raw)
+                raw
             }
             _ => {
                 let vstart = self.pos;
@@ -423,10 +500,11 @@ impl<'a, S: TokenSink> Tokenizer<'a, S> {
                 {
                     self.pos += 1;
                 }
-                decode(&self.input[vstart..self.pos])
+                &self.input[vstart..self.pos]
             }
         };
-        Some(Attribute { name, value })
+        decode_into(raw, &mut attr.value);
+        Some(attr)
     }
 
     fn skip_whitespace(&mut self) {

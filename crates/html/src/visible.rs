@@ -21,10 +21,23 @@ pub(crate) fn is_non_rendering(name: &str) -> bool {
     )
 }
 
-/// Whether an element's inline `style` hides it.
+/// Whether an element's inline `style` hides it: it contains
+/// `display:none` or `visibility:hidden`, compared ASCII-case-insensitively
+/// with all ASCII whitespace ignored (CSS allows any whitespace around the
+/// `:`). One pass over the value, allocating nothing: the last 17
+/// non-whitespace bytes, lower-cased, slide through a fixed window that
+/// is checked for either needle as it ends.
 fn style_hides(style: &str) -> bool {
-    let lowered: String = style.to_ascii_lowercase().replace(' ', "");
-    lowered.contains("display:none") || lowered.contains("visibility:hidden")
+    const DISPLAY: &[u8] = b"display:none";
+    const VISIBILITY: &[u8] = b"visibility:hidden";
+    // Starts zeroed; neither needle contains a NUL, so the unfilled part
+    // never completes a match.
+    let mut window = [0u8; VISIBILITY.len()];
+    style.bytes().filter(|b| !b.is_ascii_whitespace()).any(|b| {
+        window.copy_within(1.., 0);
+        window[VISIBILITY.len() - 1] = b.to_ascii_lowercase();
+        window.ends_with(DISPLAY) || window.ends_with(VISIBILITY)
+    })
 }
 
 /// Whether an attribute list hides its element (`hidden`,
@@ -188,8 +201,15 @@ pub(crate) struct Normaliser<T> {
 
 impl<T: CharTally> Normaliser<T> {
     pub(crate) fn new(tally: T) -> Self {
+        Normaliser::with_buffer(String::new(), tally)
+    }
+
+    /// A normaliser writing into `out`, which must be empty (the
+    /// streaming walk passes its recycled buffer).
+    pub(crate) fn with_buffer(out: String, tally: T) -> Self {
+        debug_assert!(out.is_empty());
         Normaliser {
-            out: String::new(),
+            out,
             tally,
             pending_newline: false,
             pending_space: false,
@@ -206,30 +226,54 @@ impl<T: CharTally> Normaliser<T> {
         self.pending_newline = true;
     }
 
+    /// Append a text run: whitespace collapses into one pending separator,
+    /// and each run of other characters is tallied and copied with one
+    /// `push_str`.
     pub(crate) fn push_text(&mut self, text: &str) {
-        for c in text.chars() {
+        // Start of the run of non-whitespace characters being scanned.
+        let mut run: Option<usize> = None;
+        for (i, c) in text.char_indices() {
             // Historical sentinel: a literal U+0001 in input text acted as
             // a block boundary before the walk was fused; preserved so
             // output stays byte-identical.
-            if c == '\u{1}' {
-                self.pending_newline = true;
-            } else if c.is_whitespace() {
-                self.pending_space = true;
-            } else {
-                if self.pending_newline {
-                    if !self.out.is_empty() {
-                        self.emit('\n');
-                    }
-                    self.pending_newline = false;
-                    self.pending_space = false;
-                } else if self.pending_space {
-                    if !self.out.is_empty() {
-                        self.emit(' ');
-                    }
-                    self.pending_space = false;
+            let boundary = c == '\u{1}';
+            if boundary || c.is_whitespace() {
+                if let Some(start) = run.take() {
+                    self.out.push_str(&text[start..i]);
                 }
-                self.emit(c);
+                if boundary {
+                    self.pending_newline = true;
+                } else {
+                    self.pending_space = true;
+                }
+                continue;
             }
+            if run.is_none() {
+                self.separate();
+                run = Some(i);
+            }
+            self.tally.push(c);
+        }
+        if let Some(start) = run {
+            self.out.push_str(&text[start..]);
+        }
+    }
+
+    /// Emit the separator owed before a new run of characters: a newline
+    /// for a pending block boundary, else a space for pending whitespace
+    /// (neither at the very start of the text).
+    fn separate(&mut self) {
+        if self.pending_newline {
+            if !self.out.is_empty() {
+                self.emit('\n');
+            }
+            self.pending_newline = false;
+            self.pending_space = false;
+        } else if self.pending_space {
+            if !self.out.is_empty() {
+                self.emit(' ');
+            }
+            self.pending_space = false;
         }
     }
 }
@@ -299,6 +343,53 @@ mod tests {
         assert_eq!(visible_text(&doc), "b");
         let doc = parse(r#"<div style="VISIBILITY:HIDDEN">a</div>ok"#);
         assert_eq!(visible_text(&doc), "ok");
+    }
+
+    #[test]
+    fn hiding_styles_ignore_any_ascii_whitespace() {
+        // CSS allows any whitespace around the ':'; both paths must hide.
+        for html in [
+            "<div style=\"display:\tnone\">a</div>b",
+            "<div style=\"display:\nnone\">a</div>b",
+            "<div style=\"visibility :\thidden\">a</div>b",
+            "<div style=\"color:red;\r\n  DISPLAY\x0c: NONE\">a</div>b",
+        ] {
+            assert_eq!(visible_text(&parse(html)), "b", "{html:?}");
+            assert_eq!(
+                crate::stream_visible_text_histogram(html).0,
+                "b",
+                "{html:?}"
+            );
+        }
+        for shown in ["display:block", "display: nine", "visibility:visible"] {
+            assert!(!style_hides(shown), "{shown:?}");
+        }
+        assert!(style_hides("display:no ne"));
+        assert!(style_hides("x\0display:none"));
+        assert!(!style_hides("isplay:none"));
+    }
+
+    #[test]
+    fn hiding_style_scan_is_linear_in_the_value() {
+        // A style value of 1 MB of whitespace with a needle's first byte
+        // in front: a scan that restarts the needle at every offset needs
+        // about 10^12 steps here, a linear one about 10^6.
+        let html = format!(
+            "<p style=\"d{}\">a</p><p style=\"v{}display:none\">b</p>c",
+            " \t\n".repeat(350_000),
+            " ".repeat(1_000_000)
+        );
+        let (done, finished) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let dom = visible_text(&parse(&html));
+            let streamed = crate::stream_visible_text_histogram(&html).0;
+            let _ = done.send((dom, streamed));
+        });
+        let (dom, streamed) = finished
+            .recv_timeout(std::time::Duration::from_secs(30))
+            .expect("the style scan did not finish in 30 s");
+        assert_eq!(dom, "a\nc");
+        assert_eq!(streamed, "a\nc");
     }
 
     #[test]

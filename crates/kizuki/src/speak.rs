@@ -135,19 +135,6 @@ impl ScreenReader {
         }
     }
 
-    /// The accessible name the reader would announce for an element, or
-    /// `None` when it falls back to a generic role announcement.
-    fn accessible_name(element: &ExtractedElement) -> Option<String> {
-        element.content().map(str::to_string).or_else(|| {
-            element
-                .visible_fallback
-                .as_deref()
-                .map(str::trim)
-                .filter(|t| !t.is_empty())
-                .map(str::to_string)
-        })
-    }
-
     /// Simulate announcing every accessibility element of a page.
     ///
     /// `page_language` is the language the page *content* is in (the
@@ -160,7 +147,8 @@ impl ScreenReader {
     }
 
     fn announce(&self, element: &ExtractedElement, page_language: Language) -> Utterance {
-        let Some(name) = Self::accessible_name(element) else {
+        // No accessible name: the reader falls back to the element's role.
+        let Some(name) = element.accessible_name() else {
             return Utterance {
                 kind: element.kind,
                 text: role_announcement(element.kind).to_string(),
@@ -169,11 +157,11 @@ impl ScreenReader {
             };
         };
         // Which language is this text in, relative to the page?
-        let label = classify_label(&name, page_language);
+        let label = classify_label(name, page_language);
         let text_language = match label {
             LabelLanguage::Native | LabelLanguage::Mixed => Some(page_language),
             LabelLanguage::English => Some(Language::English),
-            LabelLanguage::OtherLanguage => langcrux_langid::detect(&name),
+            LabelLanguage::OtherLanguage => langcrux_langid::detect(name),
             LabelLanguage::NonLinguistic => None,
         };
         let outcome = match text_language {
@@ -196,7 +184,7 @@ impl ScreenReader {
         };
         Utterance {
             kind: element.kind,
-            text: name,
+            text: name.to_string(),
             language: text_language,
             outcome,
         }

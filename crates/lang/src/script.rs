@@ -291,14 +291,86 @@ const ASCII_TABLE: [Script; 128] = {
     table
 };
 
+/// Characters per entry of [`BMP_BLOCKS`].
+const BLOCK: u32 = 64;
+
+/// Classification of the Basic Multilingual Plane in 64-code-point
+/// blocks: `Some(script)` when every code point of the block classifies
+/// as `script`; `None` when they differ (the block straddles a range
+/// edge, or a gap that holds whitespace), which sends the lookup to the
+/// binary search. Built at compile time by [`classify_by_search`]
+/// itself, so the two agree by construction; a unit test also checks
+/// every scalar value.
+const BMP_BLOCKS: [Option<Script>; 0x10000 / BLOCK as usize] = {
+    let mut table = [None; 0x10000 / BLOCK as usize];
+    let mut block = 0;
+    while block < table.len() {
+        let start = block as u32 * BLOCK;
+        let first = classify_by_search_const(start);
+        let mut uniform = true;
+        let mut cp = start + 1;
+        while uniform && cp < start + BLOCK {
+            // Surrogates are not chars; no block mixes them with others.
+            uniform = classify_by_search_const(cp) as u8 == first as u8;
+            cp += 1;
+        }
+        if uniform {
+            table[block] = Some(first);
+        }
+        block += 1;
+    }
+    table
+};
+
+/// [`classify_by_search`] over a raw code point, callable at compile
+/// time (surrogate code points classify as [`Script::Unknown`]).
+const fn classify_by_search_const(cp: u32) -> Script {
+    match char::from_u32(cp) {
+        Some(c) => classify_by_search(c),
+        None => Script::Unknown,
+    }
+}
+
+/// The reference classification: the ASCII table, then one binary
+/// search over `LOOKUP_RANGES`, then the whitespace rule for gaps.
+/// [`script_of`] answers from [`BMP_BLOCKS`] where a block is uniform
+/// and falls back to this everywhere else.
+const fn classify_by_search(c: char) -> Script {
+    let cp = c as u32;
+    if cp < 0x80 {
+        return ASCII_TABLE[cp as usize];
+    }
+    // Index of the last range whose start is <= cp, if any.
+    let (mut lo, mut hi) = (0, LOOKUP_STARTS.len());
+    while lo < hi {
+        let mid = (lo + hi) / 2;
+        if LOOKUP_STARTS[mid] <= cp {
+            lo = mid + 1;
+        } else {
+            hi = mid;
+        }
+    }
+    if lo > 0 && cp <= LOOKUP_RANGES[lo - 1].end {
+        return LOOKUP_RANGES[lo - 1].script;
+    }
+    // Gaps: whitespace not covered by a table range (NBSP, NEL, Ogham
+    // space, …) counts as Common; everything else is non-evidence.
+    if c.is_whitespace() {
+        Script::Common
+    } else {
+        Script::Unknown
+    }
+}
+
 /// Classify a single character into a [`Script`].
 ///
 /// ASCII digits, punctuation, whitespace and symbols return
 /// [`Script::Common`]; characters inside a tabulated block return that
 /// block's script; everything else returns [`Script::Unknown`]. The lookup
-/// is fully table-driven: a 128-entry direct table for ASCII, then one
-/// binary search over the merged `LOOKUP_RANGES` table — no per-call
-/// chains of range comparisons.
+/// is table-driven: a 128-entry direct table for ASCII, one load from a
+/// table of 64-code-point blocks for the rest of the BMP, and a binary
+/// search over the merged `LOOKUP_RANGES` table only for the few blocks
+/// that straddle a range edge and for code points above the BMP.
 ///
 /// ```
 /// use langcrux_lang::script::{script_of, Script};
@@ -313,21 +385,10 @@ pub fn script_of(c: char) -> Script {
     if cp < 0x80 {
         return ASCII_TABLE[cp as usize];
     }
-    // Index of the last range whose start is <= cp, if any.
-    let idx = LOOKUP_STARTS.partition_point(|&start| start <= cp);
-    if idx > 0 {
-        let range = &LOOKUP_RANGES[idx - 1];
-        if cp <= range.end {
-            return range.script;
-        }
+    if let Some(&Some(script)) = BMP_BLOCKS.get((cp / BLOCK) as usize) {
+        return script;
     }
-    // Gaps: whitespace not covered by a table range (NBSP, NEL, Ogham
-    // space, …) counts as Common; everything else is non-evidence.
-    if c.is_whitespace() {
-        Script::Common
-    } else {
-        Script::Unknown
-    }
+    classify_by_search(c)
 }
 
 /// Histogram of scripts in a string, counted over characters.
@@ -483,6 +544,22 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn block_table_agrees_with_search_on_every_scalar_value() {
+        let mut checked = 0u32;
+        for c in (0..=0x10FFFFu32).filter_map(char::from_u32) {
+            assert_eq!(script_of(c), classify_by_search(c), "U+{:04X}", c as u32);
+            checked += 1;
+        }
+        assert_eq!(checked, 1_112_064);
+        // Most of the BMP answers from the table without a search.
+        let uniform = BMP_BLOCKS.iter().filter(|b| b.is_some()).count();
+        assert!(
+            uniform > BMP_BLOCKS.len() * 9 / 10,
+            "{uniform} uniform blocks"
+        );
     }
 
     #[test]
