@@ -76,14 +76,11 @@ fn evaluate_kind(
         if !is_informative(text) {
             continue;
         }
-        let label = if page_is_english {
-            // On an English page every candidate-language script is a
-            // mismatch; reuse the classifier with any non-Latin target to
-            // detect pure-English labels.
-            classify_label(text, Language::Thai)
-        } else {
-            classify_label(text, page_language)
-        };
+        // English counts Latin once as its native script, so on an English
+        // page every non-Latin script is equally foreign: a pure-Thai or
+        // pure-Bangla alt is OtherLanguage, Thai+English or Hebrew+English
+        // is Mixed.
+        let label = classify_label(text, page_language);
         match is_consistent(label, page_is_english) {
             Some(true) => examined += 1,
             Some(false) => {
@@ -256,6 +253,29 @@ mod tests {
         let out = AltLanguageCheck::default().evaluate(&p, Language::English);
         assert!(out.passed);
         assert_eq!(out.mismatched, 0);
+    }
+
+    #[test]
+    fn english_pages_reject_every_pure_foreign_script() {
+        for alt in ["ภาพตลาดน้ำยามเช้าที่คึกคัก", "ভোরের নদীর ধারে গ্রামের মেলা"] {
+            let p = page(&format!(r#"<img alt="{alt}" src=a>"#));
+            let out = AltLanguageCheck::default().evaluate(&p, Language::English);
+            assert_eq!((out.examined, out.mismatched), (1, 1), "{alt}");
+            assert!(!out.passed, "{alt}");
+        }
+    }
+
+    #[test]
+    fn english_pages_accept_every_script_mixed_with_english() {
+        for alt in [
+            "ตลาดน้ำยามเช้าที่คึกคัก market",
+            "חדשות היום מהעיר הגדולה news",
+        ] {
+            let p = page(&format!(r#"<img alt="{alt}" src=a>"#));
+            let out = AltLanguageCheck::default().evaluate(&p, Language::English);
+            assert_eq!((out.examined, out.mismatched), (1, 0), "{alt}");
+            assert!(out.passed, "{alt}");
+        }
     }
 
     #[test]
