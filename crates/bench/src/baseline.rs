@@ -29,7 +29,7 @@ use langcrux_core::selection::{SelectedSite, SelectionStats, NATIVE_CONTENT_THRE
 use langcrux_core::PipelineOptions;
 use langcrux_crawl::{char_len, word_count, Browser, PageExtract};
 use langcrux_filter::{DiscardCategory, CONTINUA_KEEP_LEN, SINGLE_WORD_KEEP_LEN};
-use langcrux_kizuki::{AltLanguageCheck, CheckOutcome, Kizuki, LanguageAwareCheck};
+use langcrux_kizuki::{AltLanguageCheck, CheckOutcome, Kizuki, LanguageAwareCheck, PageAnalysis};
 use langcrux_lang::a11y::ElementKind;
 use langcrux_lang::script::{Script, SCRIPT_RANGES};
 use langcrux_lang::{dict, Country, Language};
@@ -216,8 +216,9 @@ fn page_language_seed(extract: &PageExtract) -> Option<Language> {
 /// (the seed constructed `Kizuki::standard()` inside the site loop).
 fn kizuki_new_score_seed(extract: &PageExtract, base: &AuditReport) -> f64 {
     let checks: Vec<Box<dyn LanguageAwareCheck>> = vec![Box::new(AltLanguageCheck::default())];
-    let outcomes: Vec<CheckOutcome> = match page_language_seed(extract) {
-        Some(lang) => checks.iter().map(|c| c.evaluate(extract, lang)).collect(),
+    let page = PageAnalysis::with_language(extract, None, page_language_seed(extract));
+    let outcomes: Vec<CheckOutcome> = match page.language {
+        Some(_) => checks.iter().map(|c| c.evaluate(&page)).collect(),
         None => Vec::new(),
     };
     let mut earned = OTHER_AUDITS_WEIGHT;

@@ -45,12 +45,11 @@ use crate::selection::{
 };
 use langcrux_audit::{audit_page, gap_report, GapKind};
 use langcrux_crawl::pool::{default_threads, run_work_stealing, run_work_stealing_with};
-use langcrux_crawl::{char_word_counts, Browser, BrowserConfig, VisitTrace};
-use langcrux_filter::classify;
-use langcrux_kizuki::{page_language, Kizuki, ScreenReader};
+use langcrux_crawl::{Browser, BrowserConfig, VisitTrace};
+use langcrux_kizuki::{Kizuki, PageAnalysis, ScreenReader, TextAnalysis};
 use langcrux_lang::a11y::ElementKind;
 use langcrux_lang::Country;
-use langcrux_langid::{classify_label, LabelLanguage};
+use langcrux_langid::LabelLanguage;
 use langcrux_net::vpn_vantage;
 use langcrux_obs as obs;
 use langcrux_webgen::Corpus;
@@ -460,53 +459,61 @@ pub(crate) fn process_site(
     extremes: &mut Vec<ExtremeExample>,
     mismatches: &mut Vec<MismatchExample>,
 ) -> SiteRecord {
-    let native = country.target_language();
     let extract = &site.visit.extract;
+    // One pass per text, shared by the records, Kizuki and gap speech.
+    let analysis = PageAnalysis::new(extract, Some(country.target_language()));
 
     let mut elements = Vec::with_capacity(extract.elements.len());
     let mut mismatch_done = false;
-    for element in &extract.elements {
-        let state = if element.is_missing() {
-            TextState::Missing
-        } else if element.is_empty_text() {
-            TextState::Empty
-        } else {
-            let text = element.content().expect("non-empty");
-            let discard = classify(text);
-            let label = classify_label(text, native);
-            // Single fused pass; the old code walked the text once for
-            // chars and again for words.
-            let (chars, words) = char_word_counts(text);
-            let (chars, words) = (chars as u32, words as u32);
-            if chars > 1_000 {
-                extremes.push(ExtremeExample {
-                    host: site.plan.host.clone(),
-                    country,
-                    kind: element.kind,
+    for (element, analysed) in extract.elements.iter().zip(&analysis.elements) {
+        let state = match analysed.text {
+            None if element.is_missing() => TextState::Missing,
+            None => TextState::Empty,
+            Some(text) => {
+                let TextAnalysis {
+                    discard,
+                    study_label: label,
                     chars,
                     words,
-                    preview: text.chars().take(120).collect(),
-                });
-            }
-            if !mismatch_done
-                && element.kind == ElementKind::ImageAlt
-                && discard.is_none()
-                && label == LabelLanguage::English
-                && site.visible_native_pct >= 90.0
-            {
-                mismatch_done = true;
-                mismatches.push(MismatchExample {
-                    host: site.plan.host.clone(),
-                    country,
-                    visible_native_pct: site.visible_native_pct,
-                    alt_preview: text.chars().take(120).collect(),
-                });
-            }
-            TextState::Present {
-                chars,
-                words,
-                discard,
-                label,
+                } = text;
+                let preview = || -> String {
+                    element
+                        .content()
+                        .expect("present")
+                        .chars()
+                        .take(120)
+                        .collect()
+                };
+                if chars > 1_000 {
+                    extremes.push(ExtremeExample {
+                        host: site.plan.host.clone(),
+                        country,
+                        kind: element.kind,
+                        chars,
+                        words,
+                        preview: preview(),
+                    });
+                }
+                if !mismatch_done
+                    && element.kind == ElementKind::ImageAlt
+                    && discard.is_none()
+                    && label == LabelLanguage::English
+                    && site.visible_native_pct >= 90.0
+                {
+                    mismatch_done = true;
+                    mismatches.push(MismatchExample {
+                        host: site.plan.host.clone(),
+                        country,
+                        visible_native_pct: site.visible_native_pct,
+                        alt_preview: preview(),
+                    });
+                }
+                TextState::Present {
+                    chars,
+                    words,
+                    discard,
+                    label,
+                }
             }
         };
         elements.push(ElementRecord {
@@ -516,13 +523,13 @@ pub(crate) fn process_site(
     }
 
     let base = audit_page(extract);
-    let kizuki_report = kizuki.evaluate(extract, &base);
+    let kizuki_report = kizuki.evaluate_analysis(&analysis, &base);
     let gaps = gap_reader.and_then(|reader| {
         let report = gap_report(extract);
         if report.is_clean() {
             return None;
         }
-        let speech = reader.gap_speech(&report, page_language(extract));
+        let speech = reader.gap_speech(&report, analysis.language);
         let count = |kind: GapKind| report.regions.iter().filter(|g| g.kind == kind).count() as u32;
         Some(SiteGaps {
             regions: report.regions.len() as u32,

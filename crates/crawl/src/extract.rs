@@ -124,25 +124,6 @@ pub fn char_len(text: &str) -> usize {
     text.chars().count()
 }
 
-/// Character count and word count in a single pass over the text —
-/// equivalent to `(char_len(text), word_count(text))` without walking the
-/// string twice. This is the per-element hot path of `process_site`.
-pub fn char_word_counts(text: &str) -> (usize, usize) {
-    let mut chars = 0usize;
-    let mut words = 0usize;
-    let mut in_word = false;
-    for c in text.chars() {
-        chars += 1;
-        if c.is_whitespace() {
-            in_word = false;
-        } else if !in_word {
-            words += 1;
-            in_word = true;
-        }
-    }
-    (chars, words)
-}
-
 /// Extract all accessibility elements plus page-level facts from a DOM.
 pub fn extract(doc: &Document) -> PageExtract {
     let (visible_text, visible_hist) = visible_text_histogram(doc);
@@ -518,25 +499,6 @@ mod tests {
         );
         assert_eq!(ex.visible_hist, ScriptHistogram::of(&ex.visible_text));
         assert!(ex.visible_hist.total > 0);
-    }
-
-    #[test]
-    fn fused_char_word_counts_match_separate_passes() {
-        for text in [
-            "",
-            "   ",
-            "three word label",
-            "ภาพข่าว",
-            " leading and trailing ",
-            "tab\tand\nnewline",
-            "ক খ গ",
-        ] {
-            assert_eq!(
-                char_word_counts(text),
-                (char_len(text), word_count(text)),
-                "{text:?}"
-            );
-        }
     }
 
     #[test]

@@ -41,9 +41,7 @@ pub mod stream;
 pub use breaker::{Admission, BreakerConfig, BreakerState, CircuitBreaker};
 pub use browser::{Browser, BrowserConfig, Visit, VisitError, VisitTrace};
 pub use clock::VirtualClock;
-pub use extract::{
-    char_len, char_word_counts, extract, word_count, ExtractedElement, PageExtract, TextSource,
-};
+pub use extract::{char_len, extract, word_count, ExtractedElement, PageExtract, TextSource};
 pub use pool::{
     crawl_hosts, default_threads, run_work_stealing, run_work_stealing_with, CrawlConfig,
     CrawlOutcome, CrawlStats,

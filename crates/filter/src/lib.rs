@@ -11,7 +11,9 @@
 //!
 //! * [`category::DiscardCategory`] — the taxonomy, with the paper's
 //!   definitions quoted.
-//! * [`rules::classify`] — priority-ordered matching.
+//! * [`rules::classify`] — priority-ordered matching, from
+//!   [`rules::scan`]: one allocation-free pass per text that also yields
+//!   its script histogram, character count and word count.
 //! * [`stats::FilterStats`] — verdict accumulation for the analyses.
 
 pub mod category;
@@ -19,5 +21,7 @@ pub mod rules;
 pub mod stats;
 
 pub use category::DiscardCategory;
-pub use rules::{classify, is_informative, CONTINUA_KEEP_LEN, SINGLE_WORD_KEEP_LEN};
+pub use rules::{
+    classify, is_informative, scan, TextScan, CONTINUA_KEEP_LEN, SINGLE_WORD_KEEP_LEN,
+};
 pub use stats::FilterStats;

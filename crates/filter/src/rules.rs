@@ -10,6 +10,11 @@
 //! even though it is also a generic action; and `"search"` is a
 //! GenericAction, not a SingleWord.
 //!
+//! [`scan`] is the one implementation: a single pass over the characters
+//! that yields the verdict together with the text's script histogram,
+//! character count and word count, allocating nothing, so the dataset
+//! record, Kizuki and the speak order read each text once.
+//!
 //! Two thresholds follow the paper verbatim: CJK texts of 1 character are
 //! too short, other scripts need ≥ 3 characters. The paper's "single-word
 //! entries are filtered unless they appear to carry descriptive meaning"
@@ -19,7 +24,7 @@
 
 use crate::category::DiscardCategory;
 use langcrux_lang::dict;
-use langcrux_lang::script::{script_of, Script};
+use langcrux_lang::script::{script_of, Script, ScriptHistogram};
 
 /// Single whitespace-free tokens shorter than this are SingleWord-discarded
 /// in space-separated scripts; at or above it they are assumed to carry
@@ -30,133 +35,221 @@ pub const SINGLE_WORD_KEEP_LEN: usize = 12;
 /// be a whole phrase. Tokens at or above this length are kept.
 pub const CONTINUA_KEEP_LEN: usize = 9;
 
-/// Character-level facts gathered in ONE pass over the trimmed text; every
-/// rule below reads these instead of re-walking the string. Before this
-/// fusion, a typical informative label was scanned by `split_whitespace`
-/// six times and by `script_of` up to three times per classification.
-struct TextFacts {
+/// What one pass over an accessibility text yields: the discard verdict
+/// and the Table 2 and label-language measures, so a text is read once
+/// however many of them a caller needs.
+#[derive(Debug, Clone, PartialEq)]
+pub struct TextScan {
+    /// `None` means informative (see [`classify`]).
+    pub discard: Option<DiscardCategory>,
+    /// Scripts of every character of the text (its `total` is the
+    /// character count).
+    pub hist: ScriptHistogram,
+    /// Whitespace-delimited words.
+    pub words: usize,
+}
+
+impl TextScan {
+    /// Characters (Unicode scalar values), the Table 2 text length.
+    pub fn chars(&self) -> usize {
+        self.hist.total
+    }
+}
+
+/// Scan `text` once. Whitespace around the text counts in `chars` and
+/// `hist` but not in the verdict, which judges the trimmed text.
+pub fn scan(text: &str) -> TextScan {
+    let mut hist = ScriptHistogram::default();
+    let mut facts = Facts::default();
+    let mut in_token = false;
+    for (i, c) in text.char_indices() {
+        hist.push_script(script_of(c));
+        if c.is_whitespace() {
+            if in_token {
+                facts.close_token(i);
+            }
+            in_token = false;
+            continue;
+        }
+        if !in_token {
+            facts.open_token(i);
+            in_token = true;
+        }
+        facts.nonws_len += 1;
+        facts.has_digit |= c.is_ascii_digit();
+        if !facts.has_alpha {
+            facts.has_alpha = c.is_alphabetic();
+        }
+        if facts.all_alnum {
+            facts.all_alnum = c.is_alphanumeric();
+        }
+        if facts.emoji_punct_only {
+            if is_emoji_char(c) {
+                facts.saw_emoji = true;
+            } else if !c.is_ascii_punctuation() {
+                facts.emoji_punct_only = false;
+            }
+        }
+    }
+    if in_token {
+        facts.close_token(text.len());
+    }
+    let discard = verdict(text, &facts, &hist);
+    TextScan {
+        discard,
+        hist,
+        words: facts.tokens,
+    }
+}
+
+/// Classify an accessibility text. `None` means informative/useful.
+pub fn classify(text: &str) -> Option<DiscardCategory> {
+    scan(text).discard
+}
+
+/// Whether the text survives filtering (is informative).
+pub fn is_informative(text: &str) -> bool {
+    classify(text).is_none()
+}
+
+/// Token facts of the non-whitespace characters. Leading and trailing
+/// whitespace changes none of them, so they describe the trimmed text.
+struct Facts {
     /// Whitespace-delimited token count.
     tokens: usize,
-    /// Chars excluding whitespace.
+    /// Byte ranges of the first three tokens.
+    spans: [(usize, usize); 3],
+    /// Byte range of the trimmed text: first token start, last token end.
+    trimmed: (usize, usize),
+    /// Chars excluding whitespace; for one token, the trimmed length.
     nonws_len: usize,
-    /// Total chars.
-    len: usize,
     has_alpha: bool,
     has_digit: bool,
-    /// Every char is alphanumeric (no whitespace present implied).
+    /// The text is one token of alphanumeric chars.
     all_alnum: bool,
-    /// Letters in CJK scripts (Han, kana, Hangul).
-    letters_cjk: usize,
-    /// Letters in scriptio-continua non-CJK scripts (Thai, Myanmar).
-    letters_continua: usize,
-    /// Letters in any other distinguishing script.
-    letters_other: usize,
     /// Saw at least one emoji/pictograph char.
     saw_emoji: bool,
     /// Every non-whitespace char is an emoji or ASCII punctuation.
     emoji_punct_only: bool,
 }
 
-impl TextFacts {
-    fn of(trimmed: &str) -> TextFacts {
-        let mut facts = TextFacts {
+impl Default for Facts {
+    fn default() -> Facts {
+        Facts {
             tokens: 0,
+            spans: [(0, 0); 3],
+            trimmed: (0, 0),
             nonws_len: 0,
-            len: 0,
             has_alpha: false,
             has_digit: false,
             all_alnum: true,
-            letters_cjk: 0,
-            letters_continua: 0,
-            letters_other: 0,
             saw_emoji: false,
             emoji_punct_only: true,
-        };
-        let mut in_token = false;
-        for c in trimmed.chars() {
-            facts.len += 1;
-            if c.is_whitespace() {
-                in_token = false;
-                facts.all_alnum = false;
-                continue;
-            }
-            if !in_token {
-                facts.tokens += 1;
-                in_token = true;
-            }
-            facts.nonws_len += 1;
-            facts.has_alpha |= c.is_alphabetic();
-            facts.has_digit |= c.is_ascii_digit();
-            facts.all_alnum &= c.is_alphanumeric();
-            if is_emoji_char(c) {
-                facts.saw_emoji = true;
-            } else if !c.is_ascii_punctuation() {
-                facts.emoji_punct_only = false;
-            }
-            match script_of(c) {
-                s if s.is_cjk() => facts.letters_cjk += 1,
-                Script::Thai | Script::Myanmar => facts.letters_continua += 1,
-                Script::Common | Script::Unknown => {}
-                _ => facts.letters_other += 1,
-            }
         }
-        facts
-    }
-
-    /// Letters are CJK-dominant (Han/kana/Hangul).
-    fn cjk_dominant(&self) -> bool {
-        self.letters_cjk > 0 && self.letters_cjk >= self.letters_continua + self.letters_other
-    }
-
-    /// Letters are in a scriptio-continua non-CJK script (Thai, Myanmar).
-    fn continua_non_cjk(&self) -> bool {
-        self.letters_continua > 0 && self.letters_continua >= self.letters_cjk + self.letters_other
     }
 }
 
-/// Classify an accessibility text. `None` means informative/useful.
-pub fn classify(text: &str) -> Option<DiscardCategory> {
-    let trimmed = text.trim();
-    if trimmed.is_empty() {
+impl Facts {
+    fn open_token(&mut self, at: usize) {
+        if self.tokens == 0 {
+            self.trimmed.0 = at;
+        } else {
+            // Only single tokens are mixed-alphanumeric: decided.
+            self.all_alnum = false;
+        }
+        if let Some(span) = self.spans.get_mut(self.tokens) {
+            span.0 = at;
+        }
+        self.tokens += 1;
+    }
+
+    fn close_token(&mut self, at: usize) {
+        self.trimmed.1 = at;
+        if let Some(span) = self.spans.get_mut(self.tokens - 1) {
+            span.1 = at;
+        }
+    }
+
+    /// Token `i` (of the first three) as a slice of `text`.
+    fn token<'t>(&self, text: &'t str, i: usize) -> &'t str {
+        &text[self.spans[i].0..self.spans[i].1]
+    }
+}
+
+/// Letters are CJK-dominant (Han/kana/Hangul).
+fn cjk_dominant(hist: &ScriptHistogram) -> bool {
+    let cjk = hist.count(Script::Han)
+        + hist.count(Script::Hiragana)
+        + hist.count(Script::Katakana)
+        + hist.count(Script::Hangul);
+    cjk > 0 && 2 * cjk >= hist.distinguishing_total()
+}
+
+/// Letters are in a scriptio-continua non-CJK script (Thai, Myanmar).
+fn continua_non_cjk(hist: &ScriptHistogram) -> bool {
+    let continua = hist.count(Script::Thai) + hist.count(Script::Myanmar);
+    continua > 0 && 2 * continua >= hist.distinguishing_total()
+}
+
+/// The first category of [`DiscardCategory::ALL`] whose rule matches.
+fn verdict(text: &str, facts: &Facts, hist: &ScriptHistogram) -> Option<DiscardCategory> {
+    if facts.tokens == 0 {
         // Empty is handled upstream as "empty attribute"; defensively map
         // to TooShort here.
         return Some(DiscardCategory::TooShort);
     }
-    let facts = TextFacts::of(trimmed);
-    // Single tokens get one shared lowercase copy for the URL/file rules.
-    let lowered_token = if facts.tokens == 1 {
-        Some(trimmed.to_ascii_lowercase())
-    } else {
-        None
-    };
+    let trimmed = &text[facts.trimmed.0..facts.trimmed.1];
+    let one_token = facts.tokens == 1;
+    // Both dictionary categories share one fold, made on first use.
+    let mut folded = None;
     for category in DiscardCategory::ALL {
         let hit = match category {
             DiscardCategory::Emoji => facts.saw_emoji && facts.emoji_punct_only,
-            DiscardCategory::UrlOrFilePath => lowered_token.as_deref().is_some_and(is_url_or_path),
-            DiscardCategory::FileName => lowered_token.as_deref().is_some_and(is_file_name),
-            DiscardCategory::OrdinalPhrase => facts.tokens <= 3 && is_ordinal_phrase(trimmed),
-            DiscardCategory::LabelNumberPattern => facts.tokens == 2 && is_label_number(trimmed),
-            DiscardCategory::MixedAlnum => {
-                facts.tokens == 1 && facts.has_alpha && facts.has_digit && facts.all_alnum
+            DiscardCategory::UrlOrFilePath => one_token && is_url_or_path(trimmed),
+            DiscardCategory::FileName => one_token && is_file_name(trimmed),
+            DiscardCategory::OrdinalPhrase => match facts.tokens {
+                1 => trimmed
+                    .split_once('/')
+                    .is_some_and(|(a, b)| is_integer(a) && is_integer(b)),
+                // "3 of 5", "3 / 5"
+                3 => {
+                    let mid = facts.token(text, 1);
+                    is_integer(facts.token(text, 0))
+                        && is_integer(facts.token(text, 2))
+                        && (mid.eq_ignore_ascii_case("of") || mid == "/")
+                }
+                _ => false,
+            },
+            DiscardCategory::LabelNumberPattern => {
+                facts.tokens == 2
+                    && is_integer(facts.token(text, 1))
+                    && facts.token(text, 0).chars().all(char::is_alphabetic)
             }
-            DiscardCategory::DevLabel => facts.tokens == 1 && is_dev_label(trimmed),
-            DiscardCategory::GenericAction => dict::generic_action(trimmed).is_some(),
-            DiscardCategory::Placeholder => dict::placeholder(trimmed).is_some(),
+            DiscardCategory::MixedAlnum => {
+                one_token && facts.has_alpha && facts.has_digit && facts.all_alnum
+            }
+            DiscardCategory::DevLabel => one_token && is_dev_label(trimmed),
+            DiscardCategory::GenericAction => {
+                fold(&mut folded, facts, trimmed).is_some_and(|f| f.generic_action().is_some())
+            }
+            DiscardCategory::Placeholder => {
+                fold(&mut folded, facts, trimmed).is_some_and(|f| f.placeholder().is_some())
+            }
             DiscardCategory::TooShort => {
-                if facts.cjk_dominant() {
+                if cjk_dominant(hist) {
                     facts.nonws_len <= 1
                 } else {
                     facts.nonws_len < 3
                 }
             }
             DiscardCategory::SingleWord => {
-                facts.tokens == 1
+                one_token
                     && facts.has_alpha
-                    && !facts.cjk_dominant()
-                    && if facts.continua_non_cjk() {
-                        facts.len < CONTINUA_KEEP_LEN
+                    && !cjk_dominant(hist)
+                    && if continua_non_cjk(hist) {
+                        facts.nonws_len < CONTINUA_KEEP_LEN
                     } else {
-                        facts.len < SINGLE_WORD_KEEP_LEN
+                        facts.nonws_len < SINGLE_WORD_KEEP_LEN
                     }
             }
         };
@@ -167,9 +260,19 @@ pub fn classify(text: &str) -> Option<DiscardCategory> {
     None
 }
 
-/// Whether the text survives filtering (is informative).
-pub fn is_informative(text: &str) -> bool {
-    classify(text).is_none()
+/// The trimmed text folded for the dictionaries, made once into `slot`;
+/// `None` when it is too long to be a term.
+fn fold<'s>(
+    slot: &'s mut Option<Option<dict::Folded>>,
+    facts: &Facts,
+    trimmed: &str,
+) -> Option<&'s dict::Folded> {
+    slot.get_or_insert_with(|| {
+        (facts.nonws_len <= dict::MAX_TERM_CHARS)
+            .then(|| dict::Folded::of(trimmed))
+            .flatten()
+    })
+    .as_ref()
 }
 
 fn is_emoji_char(c: char) -> bool {
@@ -185,13 +288,17 @@ fn is_emoji_char(c: char) -> bool {
     )
 }
 
-/// URL/path test over an already-lowercased single token.
-fn is_url_or_path(lower: &str) -> bool {
-    if lower.contains("://") || lower.starts_with("www.") {
+/// URL/path test over a single token, ASCII case ignored.
+fn is_url_or_path(token: &str) -> bool {
+    let www = token
+        .as_bytes()
+        .get(..4)
+        .is_some_and(|p| p.eq_ignore_ascii_case(b"www."));
+    if www || token.contains("://") {
         return true;
     }
     // Absolute file-system-ish path with at least two segments.
-    lower.starts_with('/') && lower[1..].contains('/')
+    token.starts_with('/') && token[1..].contains('/')
 }
 
 const ASSET_EXTENSIONS: &[&str] = &[
@@ -199,65 +306,39 @@ const ASSET_EXTENSIONS: &[&str] = &[
     ".webm", ".css", ".js",
 ];
 
-/// Asset-file-name test over an already-lowercased single token.
-fn is_file_name(lower: &str) -> bool {
-    ASSET_EXTENSIONS.iter().any(|ext| lower.ends_with(ext)) && lower.len() > 4
-}
-
-fn is_ordinal_phrase(text: &str) -> bool {
-    let tokens: Vec<&str> = text.split_whitespace().collect();
-    // "3 of 5", "3 / 5", "3/5"
-    match tokens.as_slice() {
-        [a, mid, b] => {
-            is_integer(a) && is_integer(b) && (mid.eq_ignore_ascii_case("of") || *mid == "/")
-        }
-        [single] => {
-            if let Some((a, b)) = single.split_once('/') {
-                is_integer(a) && is_integer(b)
-            } else {
-                false
-            }
-        }
-        _ => false,
-    }
+/// Asset-file-name test over a single token, ASCII case ignored.
+fn is_file_name(token: &str) -> bool {
+    let bytes = token.as_bytes();
+    bytes.len() > 4
+        && ASSET_EXTENSIONS.iter().any(|ext| {
+            let start = bytes.len().saturating_sub(ext.len());
+            bytes[start..].eq_ignore_ascii_case(ext.as_bytes())
+        })
 }
 
 fn is_integer(s: &str) -> bool {
-    !s.is_empty() && s.chars().all(|c| c.is_ascii_digit())
+    !s.is_empty() && s.bytes().all(|b| b.is_ascii_digit())
 }
 
-fn is_label_number(text: &str) -> bool {
-    let tokens: Vec<&str> = text.split_whitespace().collect();
-    match tokens.as_slice() {
-        [word, num] => {
-            is_integer(num) && !word.is_empty() && word.chars().all(|c| c.is_alphabetic())
-        }
-        _ => false,
-    }
-}
-
-/// Dev-identifier test over a single token (caller guarantees one token).
-fn is_dev_label(text: &str) -> bool {
-    if text.len() < 3 {
+/// Dev-identifier test over a single token.
+fn is_dev_label(token: &str) -> bool {
+    let bytes = token.as_bytes();
+    if bytes.len() < 3 {
         return false;
     }
-    let has_sep = text.contains('-') || text.contains('_');
-    if has_sep {
-        // kebab-case / snake_case identifiers: all-ASCII alnum segments.
-        let segments: Vec<&str> = text.split(['-', '_']).collect();
-        return segments.len() >= 2
-            && segments
-                .iter()
-                .all(|s| !s.is_empty() && s.chars().all(|c| c.is_ascii_alphanumeric()));
+    let is_sep = |b: &u8| *b == b'-' || *b == b'_';
+    if bytes.iter().any(is_sep) {
+        // kebab-case / snake_case identifiers: two or more non-empty
+        // segments of ASCII alphanumerics.
+        return !is_sep(&bytes[0])
+            && !is_sep(&bytes[bytes.len() - 1])
+            && !bytes.windows(2).any(|w| is_sep(&w[0]) && is_sep(&w[1]))
+            && bytes.iter().all(|b| is_sep(b) || b.is_ascii_alphanumeric());
     }
     // camelCase: lowercase start, internal uppercase, ASCII only.
-    let ascii = text.chars().all(|c| c.is_ascii_alphanumeric());
-    if !ascii {
-        return false;
-    }
-    let starts_lower = text.chars().next().is_some_and(|c| c.is_ascii_lowercase());
-    let internal_upper = text.chars().skip(1).any(|c| c.is_ascii_uppercase());
-    starts_lower && internal_upper
+    bytes.iter().all(u8::is_ascii_alphanumeric)
+        && bytes[0].is_ascii_lowercase()
+        && bytes[1..].iter().any(u8::is_ascii_uppercase)
 }
 
 #[cfg(test)]
@@ -269,8 +350,9 @@ mod tests {
     }
 
     /// The pre-fusion implementation, kept as the oracle: every rule
-    /// re-derives its own facts from the raw text. `classify` must agree
-    /// with this on any input.
+    /// re-derives its own facts from the raw text, with the old
+    /// lower-cased copies, collected token lists and linear dictionary
+    /// scans. `classify` must agree with this on any input.
     mod reference {
         use super::super::*;
 
@@ -291,6 +373,71 @@ mod tests {
 
         fn one_token(text: &str) -> bool {
             text.split_whitespace().count() == 1
+        }
+
+        fn is_url_or_path(lower: &str) -> bool {
+            if lower.contains("://") || lower.starts_with("www.") {
+                return true;
+            }
+            lower.starts_with('/') && lower[1..].contains('/')
+        }
+
+        fn is_file_name(lower: &str) -> bool {
+            ASSET_EXTENSIONS.iter().any(|ext| lower.ends_with(ext)) && lower.len() > 4
+        }
+
+        fn is_integer(s: &str) -> bool {
+            !s.is_empty() && s.chars().all(|c| c.is_ascii_digit())
+        }
+
+        fn is_ordinal_phrase(text: &str) -> bool {
+            let tokens: Vec<&str> = text.split_whitespace().collect();
+            match tokens.as_slice() {
+                [a, mid, b] => {
+                    is_integer(a)
+                        && is_integer(b)
+                        && (mid.eq_ignore_ascii_case("of") || *mid == "/")
+                }
+                [single] => {
+                    if let Some((a, b)) = single.split_once('/') {
+                        is_integer(a) && is_integer(b)
+                    } else {
+                        false
+                    }
+                }
+                _ => false,
+            }
+        }
+
+        fn is_label_number(text: &str) -> bool {
+            let tokens: Vec<&str> = text.split_whitespace().collect();
+            match tokens.as_slice() {
+                [word, num] => {
+                    is_integer(num) && !word.is_empty() && word.chars().all(|c| c.is_alphabetic())
+                }
+                _ => false,
+            }
+        }
+
+        fn is_dev_label(text: &str) -> bool {
+            if text.len() < 3 {
+                return false;
+            }
+            let has_sep = text.contains('-') || text.contains('_');
+            if has_sep {
+                let segments: Vec<&str> = text.split(['-', '_']).collect();
+                return segments.len() >= 2
+                    && segments
+                        .iter()
+                        .all(|s| !s.is_empty() && s.chars().all(|c| c.is_ascii_alphanumeric()));
+            }
+            let ascii = text.chars().all(|c| c.is_ascii_alphanumeric());
+            if !ascii {
+                return false;
+            }
+            let starts_lower = text.chars().next().is_some_and(|c| c.is_ascii_lowercase());
+            let internal_upper = text.chars().skip(1).any(|c| c.is_ascii_uppercase());
+            starts_lower && internal_upper
         }
 
         fn is_mixed_alnum(text: &str) -> bool {
@@ -364,8 +511,12 @@ mod tests {
                     DiscardCategory::LabelNumberPattern => is_label_number(trimmed),
                     DiscardCategory::MixedAlnum => is_mixed_alnum(trimmed),
                     DiscardCategory::DevLabel => one_token(trimmed) && is_dev_label(trimmed),
-                    DiscardCategory::GenericAction => dict::generic_action(trimmed).is_some(),
-                    DiscardCategory::Placeholder => dict::placeholder(trimmed).is_some(),
+                    DiscardCategory::GenericAction => {
+                        dict::matches_term_list(trimmed, dict::GENERIC_ACTIONS).is_some()
+                    }
+                    DiscardCategory::Placeholder => {
+                        dict::matches_term_list(trimmed, dict::PLACEHOLDERS).is_some()
+                    }
                     DiscardCategory::TooShort => is_too_short(trimmed),
                     DiscardCategory::SingleWord => is_single_word(trimmed),
                 };
@@ -433,9 +584,169 @@ mod tests {
             "• • •",
             "מפה",
             "ไอคอน",
+            // ASCII case in the structural rules, and the dictionary fold.
+            "BANNER_IMG123.JPG",
+            "Photo.PNG",
+            "WWW.Example.com",
+            "HTTP://A.B/C",
+            "/Assets/Img/Logo.SVG",
+            "2 OF 10",
+            "Slide 3",
+            "NavbarToggle",
+            "SEARCH",
+            "Toggle Navigation",
+            "  toggle navigation\u{A0}",
+            "toggle  navigation",
+            "toggle navigations",
+            "ΣΎΝΔΕΣΗ",
+            "ΚΛΕΊΣΙΜΟ",
+            "İcon",
         ];
         for probe in probes {
             assert_eq!(classify(probe), reference::classify(probe), "{probe:?}");
+        }
+    }
+
+    /// Texts that probe the edges of the fused pass: Unicode whitespace
+    /// (some of it outside ASCII), `İ` (folds to two chars), `Σ` (folds by
+    /// context), ZWJ emoji sequences, and dictionary terms in mixed case
+    /// padded to 16–18 chars, around the longest term's 17.
+    struct EdgeTexts;
+
+    const WHITESPACE: &[&str] = &[
+        " ", "\t", "\n", "\u{A0}", "\u{85}", "\u{1680}", "\u{2003}", "\u{3000}",
+    ];
+
+    const PIECES: &[&str] = &[
+        "İ",
+        "Σ",
+        "σ",
+        "ς",
+        "ΣΎΝΔΕΣΗ",
+        "👨\u{200D}👩\u{200D}👧",
+        "🙂",
+        "\u{FE0F}",
+        "!",
+        "/",
+        "-",
+        "_",
+        "3",
+        "of",
+        ".PNG",
+        "www.",
+        "://",
+        "Img",
+        "中",
+        "ก",
+        "a",
+        "Z",
+    ];
+
+    impl proptest::strategy::Strategy for EdgeTexts {
+        type Value = String;
+
+        fn generate(&self, rng: &mut proptest::test_runner::TestRng) -> String {
+            let mut pick = |n: usize| rng.range_int(0, n as i128 - 1) as usize;
+            let mut text = String::new();
+            if pick(2) == 0 {
+                let terms = [dict::GENERIC_ACTIONS, dict::PLACEHOLDERS];
+                let list = terms[pick(2)];
+                for c in list[pick(list.len())].text.chars() {
+                    match pick(3) {
+                        0 => text.extend(c.to_uppercase()),
+                        _ => text.push(c),
+                    }
+                }
+                let target = 16 + pick(3);
+                while text.chars().count() < target {
+                    let pad = if pick(4) == 0 {
+                        PIECES[pick(PIECES.len())]
+                    } else {
+                        WHITESPACE[pick(WHITESPACE.len())]
+                    };
+                    if pick(2) == 0 {
+                        text.insert_str(0, pad);
+                    } else {
+                        text.push_str(pad);
+                    }
+                }
+            } else {
+                for _ in 0..pick(8) + 1 {
+                    let pool = if pick(3) == 0 { WHITESPACE } else { PIECES };
+                    text.push_str(pool[pick(pool.len())]);
+                }
+            }
+            text
+        }
+    }
+
+    /// The study languages and English, every language a label is judged
+    /// against.
+    fn label_languages() -> impl Iterator<Item = langcrux_lang::Language> {
+        langcrux_lang::Country::STUDY
+            .iter()
+            .map(|c| c.target_language())
+            .chain([langcrux_lang::Language::English])
+    }
+
+    fn assert_scan_matches_references(text: &str) {
+        let scan = scan(text);
+        assert_eq!(scan.discard, reference::classify(text), "{text:?}");
+        assert_eq!(scan.discard, classify(text), "{text:?}");
+        assert_eq!(scan.chars(), langcrux_crawl::char_len(text), "{text:?}");
+        assert_eq!(scan.words, langcrux_crawl::word_count(text), "{text:?}");
+        for language in label_languages() {
+            assert_eq!(
+                langcrux_langid::classify_histogram(&scan.hist, language),
+                langcrux_langid::classify_label(text, language),
+                "{text:?} against {language:?}"
+            );
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn scan_matches_references_on_printable_text(text in "\\PC{0,40}") {
+            assert_scan_matches_references(&text);
+        }
+
+        #[test]
+        fn scan_matches_references_on_edge_texts(text in EdgeTexts) {
+            assert_scan_matches_references(&text);
+        }
+    }
+
+    #[test]
+    fn dictionary_terms_hit_their_category_in_any_case() {
+        fn title_case(text: &str) -> String {
+            let mut out = String::new();
+            let mut word_start = true;
+            for c in text.chars() {
+                if word_start {
+                    out.extend(c.to_uppercase());
+                } else {
+                    out.push(c);
+                }
+                word_start = c.is_whitespace();
+            }
+            out
+        }
+        type Lookup = fn(&dict::Folded) -> Option<dict::Term>;
+        let lists: [(&[dict::Term], Lookup); 2] = [
+            (dict::GENERIC_ACTIONS, dict::Folded::generic_action),
+            (dict::PLACEHOLDERS, dict::Folded::placeholder),
+        ];
+        for (list, lookup) in lists {
+            for term in list {
+                for variant in [term.text.to_uppercase(), title_case(term.text)] {
+                    let folded = dict::Folded::of(&variant).expect("terms fit the fold");
+                    assert!(lookup(&folded).is_some(), "{variant:?}");
+                    // The verdict is the term's own: its category, or an
+                    // earlier one such as TooShort for "go".
+                    assert_eq!(classify(&variant), classify(term.text), "{variant:?}");
+                    assert_eq!(classify(&variant), reference::classify(&variant));
+                }
+            }
         }
     }
 

@@ -12,11 +12,9 @@
 //! * [`LinkLanguageCheck`] — the same policy applied to link names,
 //!   demonstrating the extension mechanism the paper's artifact documents.
 
-use langcrux_crawl::PageExtract;
-use langcrux_filter::is_informative;
+use crate::analysis::PageAnalysis;
 use langcrux_lang::a11y::ElementKind;
-use langcrux_lang::Language;
-use langcrux_langid::{classify_label, LabelLanguage};
+use langcrux_langid::LabelLanguage;
 use serde::{Deserialize, Serialize};
 
 /// Result of one check on one page.
@@ -39,19 +37,23 @@ pub trait LanguageAwareCheck: Send + Sync {
     fn id(&self) -> &'static str;
     /// The base audit whose outcome this check refines.
     fn kind(&self) -> ElementKind;
-    /// Evaluate the page given its detected content language.
-    fn evaluate(&self, page: &PageExtract, page_language: Language) -> CheckOutcome;
+    /// Evaluate an analysed page: every element's filter verdict and its
+    /// label against the page's detected content language. The engine
+    /// calls this only for pages whose language is determined.
+    fn evaluate(&self, page: &PageAnalysis) -> CheckOutcome;
 }
 
 /// Is this label consistent with the page language? Mixed counts as
 /// consistent; non-linguistic labels (digits, symbols) are skipped by the
-/// caller.
-fn is_consistent(label: LabelLanguage, page_is_english: bool) -> Option<bool> {
+/// caller. Labels are judged against the page language itself, so an
+/// English label is foreign text: on an English page English text is
+/// Native (English counts Latin once, as its native script), every
+/// non-Latin script is OtherLanguage and a mix with English is Mixed.
+fn is_consistent(label: LabelLanguage) -> Option<bool> {
     match label {
         LabelLanguage::NonLinguistic => None,
         LabelLanguage::Native | LabelLanguage::Mixed => Some(true),
-        LabelLanguage::English => Some(page_is_english),
-        LabelLanguage::OtherLanguage => Some(false),
+        LabelLanguage::English | LabelLanguage::OtherLanguage => Some(false),
     }
 }
 
@@ -59,29 +61,13 @@ fn is_consistent(label: LabelLanguage, page_is_english: bool) -> Option<bool> {
 fn evaluate_kind(
     id: &'static str,
     kind: ElementKind,
-    page: &PageExtract,
-    page_language: Language,
+    page: &PageAnalysis,
     mismatch_threshold: f64,
 ) -> CheckOutcome {
-    let page_is_english = page_language == Language::English;
     let mut examined = 0usize;
     let mut mismatched = 0usize;
-    for element in page.of_kind(kind) {
-        let Some(text) = element.content() else {
-            continue;
-        };
-        // Uninformative labels are excluded, as in the paper's filtering
-        // step: "button" in English on a Thai page is a quality problem,
-        // not a translation problem.
-        if !is_informative(text) {
-            continue;
-        }
-        // English counts Latin once as its native script, so on an English
-        // page every non-Latin script is equally foreign: a pure-Thai or
-        // pure-Bangla alt is OtherLanguage, Thai+English or Hebrew+English
-        // is Mixed.
-        let label = classify_label(text, page_language);
-        match is_consistent(label, page_is_english) {
+    for label in page.of_kind(kind).filter_map(|e| e.informative_label()) {
+        match is_consistent(label) {
             Some(true) => examined += 1,
             Some(false) => {
                 examined += 1;
@@ -133,12 +119,11 @@ impl LanguageAwareCheck for AltLanguageCheck {
         ElementKind::ImageAlt
     }
 
-    fn evaluate(&self, page: &PageExtract, page_language: Language) -> CheckOutcome {
+    fn evaluate(&self, page: &PageAnalysis) -> CheckOutcome {
         evaluate_kind(
             self.id(),
             ElementKind::ImageAlt,
             page,
-            page_language,
             self.mismatch_threshold,
         )
     }
@@ -168,12 +153,11 @@ impl LanguageAwareCheck for LinkLanguageCheck {
         ElementKind::LinkName
     }
 
-    fn evaluate(&self, page: &PageExtract, page_language: Language) -> CheckOutcome {
+    fn evaluate(&self, page: &PageAnalysis) -> CheckOutcome {
         evaluate_kind(
             self.id(),
             ElementKind::LinkName,
             page,
-            page_language,
             self.mismatch_threshold,
         )
     }
@@ -182,11 +166,18 @@ impl LanguageAwareCheck for LinkLanguageCheck {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use langcrux_crawl::extract;
+    use langcrux_crawl::{extract, PageExtract};
     use langcrux_html::parse;
+    use langcrux_lang::Language;
 
     fn page(html: &str) -> PageExtract {
         extract(&parse(html))
+    }
+
+    /// The analysis the engine hands its checks, with the page language
+    /// fixed to `language`.
+    fn on(page: &PageExtract, language: Language) -> PageAnalysis {
+        PageAnalysis::with_language(page, None, Some(language))
     }
 
     #[test]
@@ -195,7 +186,7 @@ mod tests {
             r#"<img alt="ভোরের নদীর দৃশ্য" src=a>
                <img alt="বাজারে ব্যস্ত মানুষজন" src=b>"#,
         );
-        let out = AltLanguageCheck::default().evaluate(&p, Language::Bangla);
+        let out = AltLanguageCheck::default().evaluate(&on(&p, Language::Bangla));
         assert!(out.passed);
         assert_eq!(out.examined, 2);
         assert_eq!(out.mismatched, 0);
@@ -208,7 +199,7 @@ mod tests {
                <img alt="students planting trees in the garden" src=b>
                <img alt="ভোরের নদীর দৃশ্য" src=c>"#,
         );
-        let out = AltLanguageCheck::default().evaluate(&p, Language::Bangla);
+        let out = AltLanguageCheck::default().evaluate(&on(&p, Language::Bangla));
         assert!(!out.passed);
         assert_eq!(out.examined, 3);
         assert_eq!(out.mismatched, 2);
@@ -217,7 +208,7 @@ mod tests {
     #[test]
     fn mixed_labels_count_as_consistent() {
         let p = page(r#"<img alt="ดาวน์โหลด app สำหรับ android phone" src=a>"#);
-        let out = AltLanguageCheck::default().evaluate(&p, Language::Thai);
+        let out = AltLanguageCheck::default().evaluate(&on(&p, Language::Thai));
         assert!(out.passed);
         assert_eq!(out.mismatched, 0);
     }
@@ -225,7 +216,7 @@ mod tests {
     #[test]
     fn uninformative_labels_are_skipped() {
         let p = page(r#"<img alt="icon" src=a><img alt="img123" src=b>"#);
-        let out = AltLanguageCheck::default().evaluate(&p, Language::Thai);
+        let out = AltLanguageCheck::default().evaluate(&on(&p, Language::Thai));
         assert_eq!(out.examined, 0);
         assert!(out.passed, "vacuous pass when nothing informative");
     }
@@ -243,23 +234,24 @@ mod tests {
         let strict = AltLanguageCheck {
             mismatch_threshold: 0.4,
         };
-        assert!(lax.evaluate(&p, Language::Bangla).passed);
-        assert!(!strict.evaluate(&p, Language::Bangla).passed);
+        assert!(lax.evaluate(&on(&p, Language::Bangla)).passed);
+        assert!(!strict.evaluate(&on(&p, Language::Bangla)).passed);
     }
 
     #[test]
     fn english_pages_accept_english() {
         let p = page(r#"<img alt="crowd gathered at the central square" src=a>"#);
-        let out = AltLanguageCheck::default().evaluate(&p, Language::English);
+        let out = AltLanguageCheck::default().evaluate(&on(&p, Language::English));
         assert!(out.passed);
         assert_eq!(out.mismatched, 0);
     }
 
     #[test]
     fn english_pages_reject_every_pure_foreign_script() {
-        for alt in ["ภาพตลาดน้ำยามเช้าที่คึกคัก", "ভোরের নদীর ধারে গ্রামের মেলা"] {
+        for alt in ["ภาพตลาดน้ำยามเช้าที่คึกคัก", "ভোরের নদীর ধারে গ্রামের মেলা"]
+        {
             let p = page(&format!(r#"<img alt="{alt}" src=a>"#));
-            let out = AltLanguageCheck::default().evaluate(&p, Language::English);
+            let out = AltLanguageCheck::default().evaluate(&on(&p, Language::English));
             assert_eq!((out.examined, out.mismatched), (1, 1), "{alt}");
             assert!(!out.passed, "{alt}");
         }
@@ -267,12 +259,10 @@ mod tests {
 
     #[test]
     fn english_pages_accept_every_script_mixed_with_english() {
-        for alt in [
-            "ตลาดน้ำยามเช้าที่คึกคัก market",
-            "חדשות היום מהעיר הגדולה news",
-        ] {
+        for alt in ["ตลาดน้ำยามเช้าที่คึกคัก market", "חדשות היום מהעיר הגדולה news"]
+        {
             let p = page(&format!(r#"<img alt="{alt}" src=a>"#));
-            let out = AltLanguageCheck::default().evaluate(&p, Language::English);
+            let out = AltLanguageCheck::default().evaluate(&on(&p, Language::English));
             assert_eq!((out.examined, out.mismatched), (1, 0), "{alt}");
             assert!(out.passed, "{alt}");
         }
@@ -281,7 +271,7 @@ mod tests {
     #[test]
     fn link_check_targets_links() {
         let p = page(r#"<a href="/x" aria-label="annual report archive">ΑΡΧΕΙΟ</a>"#);
-        let out = LinkLanguageCheck::default().evaluate(&p, Language::Greek);
+        let out = LinkLanguageCheck::default().evaluate(&on(&p, Language::Greek));
         assert_eq!(out.kind, ElementKind::LinkName);
         assert!(!out.passed);
     }

@@ -1,5 +1,6 @@
 //! The Kizuki engine: page-language detection, check execution, rescoring.
 
+use crate::analysis::PageAnalysis;
 use crate::checks::{AltLanguageCheck, CheckOutcome, LanguageAwareCheck};
 use langcrux_audit::{AuditReport, OTHER_AUDITS_WEIGHT};
 use langcrux_crawl::PageExtract;
@@ -36,12 +37,19 @@ pub fn page_language(extract: &PageExtract) -> Option<Language> {
         return Some(lang);
     }
     let declared = extract.declared_lang.as_deref()?;
-    let primary = declared.split(['-', '_']).next()?.to_ascii_lowercase();
+    let primary = declared.split(['-', '_']).next()?;
+    // Tags' primary subtags are lower-case, so this is an exact match
+    // against the declaration lower-cased.
     Language::CANDIDATE_POOL
         .iter()
         .copied()
         .chain(std::iter::once(Language::English))
-        .find(|l| l.tag().split('-').next() == Some(primary.as_str()))
+        .find(|l| {
+            l.tag()
+                .split('-')
+                .next()
+                .is_some_and(|tag| tag.eq_ignore_ascii_case(primary))
+        })
 }
 
 /// Kizuki's verdict for one page.
@@ -100,19 +108,25 @@ impl Kizuki {
         self.checks.len()
     }
 
-    /// Run all checks against a page and rescore the base report.
+    /// Run all checks against a page and rescore the base report:
+    /// [`Self::evaluate_analysis`] over a [`PageAnalysis`] made here.
+    pub fn evaluate(&self, extract: &PageExtract, base: &AuditReport) -> KizukiReport {
+        self.evaluate_analysis(&PageAnalysis::new(extract, None), base)
+    }
+
+    /// Run all checks against an analysed page and rescore the base
+    /// report.
     ///
     /// A base audit that already fails stays failed; a passing audit is
     /// downgraded when any language-aware check targeting its kind fails.
     /// Pages whose language cannot be determined pass vacuously (nothing
     /// to compare against).
-    pub fn evaluate(&self, extract: &PageExtract, base: &AuditReport) -> KizukiReport {
-        let language = page_language(extract);
-        let outcomes: Vec<CheckOutcome> = match language {
-            Some(lang) => self
+    pub fn evaluate_analysis(&self, page: &PageAnalysis, base: &AuditReport) -> KizukiReport {
+        let outcomes: Vec<CheckOutcome> = match page.language {
+            Some(_) => self
                 .checks
                 .iter()
-                .map(|check| check.evaluate(extract, lang))
+                .map(|check| check.evaluate(page))
                 .collect(),
             None => Vec::new(),
         };
@@ -127,7 +141,7 @@ impl Kizuki {
             }
         }
         KizukiReport {
-            page_language: language,
+            page_language: page.language,
             base_score: base.score,
             new_score: earned / total * 100.0,
             checks: outcomes,

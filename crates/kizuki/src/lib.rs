@@ -16,14 +16,20 @@
 //! with [`Kizuki::with_check`]. The standard configuration ships the
 //! paper's alt-text check ([`AltLanguageCheck`]).
 //!
+//! [`analysis`] reads each accessibility text once per page: one
+//! [`PageAnalysis`] carries the filter verdict, the labels and the Table 2
+//! counts that the checks, the speak order and the dataset record share.
+//!
 //! [`speak`] adds the user-experience lens the paper motivates with:
 //! a screen-reader announcement simulator with per-language synthesiser
 //! support profiles (VoiceOver-like: no Urdu/Amharic/Burmese, §1).
 
+pub mod analysis;
 pub mod checks;
 pub mod engine;
 pub mod speak;
 
+pub use analysis::{ElementAnalysis, PageAnalysis, TextAnalysis};
 pub use checks::{AltLanguageCheck, CheckOutcome, LanguageAwareCheck, LinkLanguageCheck};
 pub use engine::{page_language, Kizuki, KizukiReport};
 pub use speak::{GapSpeech, ScreenReader, SpeechOutcome, SpeechStats, Utterance};

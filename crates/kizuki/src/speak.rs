@@ -15,11 +15,12 @@
 //! used by the `repro speech` artefact to report per-country
 //! mispronunciation rates.
 
+use crate::analysis::{ElementAnalysis, PageAnalysis};
 use langcrux_audit::{GapKind, GapRegion, GapReport};
 use langcrux_crawl::{ExtractedElement, PageExtract};
 use langcrux_lang::a11y::ElementKind;
 use langcrux_lang::Language;
-use langcrux_langid::{classify_label, LabelLanguage};
+use langcrux_langid::LabelLanguage;
 use serde::{Deserialize, Serialize};
 
 /// How well the reader's synthesiser handles a language.
@@ -139,16 +140,36 @@ impl ScreenReader {
     ///
     /// `page_language` is the language the page *content* is in (the
     /// engine the reader would select from context/declared metadata).
+    /// [`Self::speak_order`] over a [`PageAnalysis`] made here.
     pub fn announce_page(&self, page: &PageExtract, page_language: Language) -> Vec<Utterance> {
+        self.speak_order(
+            page,
+            &PageAnalysis::with_language(page, None, Some(page_language)),
+        )
+    }
+
+    /// Announce every accessibility element of `page` in document order,
+    /// reading each accessible name's label from `analysis` (made for this
+    /// page). The reader selects the engine of the analysis's page
+    /// language, or English when it is undetermined (the reader's default
+    /// voice).
+    pub fn speak_order(&self, page: &PageExtract, analysis: &PageAnalysis) -> Vec<Utterance> {
+        let page_language = analysis.language.unwrap_or(Language::English);
         page.elements
             .iter()
-            .map(|element| self.announce(element, page_language))
+            .zip(&analysis.elements)
+            .map(|(element, analysed)| self.announce(element, analysed, page_language))
             .collect()
     }
 
-    fn announce(&self, element: &ExtractedElement, page_language: Language) -> Utterance {
+    fn announce(
+        &self,
+        element: &ExtractedElement,
+        analysed: &ElementAnalysis,
+        page_language: Language,
+    ) -> Utterance {
         // No accessible name: the reader falls back to the element's role.
-        let Some(name) = element.accessible_name() else {
+        let (Some(name), Some(label)) = (element.accessible_name(), analysed.name_label) else {
             return Utterance {
                 kind: element.kind,
                 text: role_announcement(element.kind).to_string(),
@@ -157,7 +178,6 @@ impl ScreenReader {
             };
         };
         // Which language is this text in, relative to the page?
-        let label = classify_label(name, page_language);
         let text_language = match label {
             LabelLanguage::Native | LabelLanguage::Mixed => Some(page_language),
             LabelLanguage::English => Some(Language::English),

@@ -271,39 +271,35 @@ pub fn matches_term_list(text: &str, list: &[Term]) -> Option<Term> {
         .find(|term| term.text == trimmed || term.text.to_lowercase() == lowered)
 }
 
-/// A case-folded dictionary index: terms sorted by lowercased text for
-/// binary-search lookup. Built once per list; `matches_term_list` re-lowers
+/// A dictionary index: terms sorted by text for binary-search lookup of a
+/// [`Folded`] text. Terms are stored folded (a test checks), so they are
+/// their own keys. Built once per list; `matches_term_list` re-lowers
 /// every term on every call, which made dictionary checks the single most
 /// expensive step of accessibility-text filtering at crawl scale.
 struct TermIndex {
-    /// `(lowercased text, term)` sorted by text; duplicate keys keep the
-    /// first list occurrence, matching `matches_term_list` priority.
-    entries: Vec<(String, Term)>,
+    /// Sorted by text; a duplicate text keeps its first list occurrence,
+    /// matching `matches_term_list` priority.
+    terms: Vec<Term>,
 }
 
 impl TermIndex {
     fn build(list: &[Term]) -> TermIndex {
-        let mut entries: Vec<(String, Term)> = Vec::with_capacity(list.len());
+        let mut terms: Vec<Term> = Vec::with_capacity(list.len());
         for term in list {
-            let key = term.text.to_lowercase();
-            if !entries.iter().any(|(k, _)| *k == key) {
-                entries.push((key, *term));
+            if !terms.iter().any(|t| t.text == term.text) {
+                terms.push(*term);
             }
         }
-        entries.sort_by(|a, b| a.0.cmp(&b.0));
-        TermIndex { entries }
+        terms.sort_by_key(|t| t.text);
+        TermIndex { terms }
     }
 
-    fn lookup(&self, text: &str) -> Option<Term> {
-        let trimmed = text.trim();
-        if trimmed.is_empty() {
-            return None;
-        }
-        let lowered = trimmed.to_lowercase();
-        self.entries
-            .binary_search_by(|(k, _)| k.as_str().cmp(lowered.as_str()))
+    /// The term spelled `folded` (byte order is `str` order).
+    fn get(&self, folded: &[u8]) -> Option<Term> {
+        self.terms
+            .binary_search_by(|t| t.text.as_bytes().cmp(folded))
             .ok()
-            .map(|i| self.entries[i].1)
+            .map(|i| self.terms[i])
     }
 }
 
@@ -317,14 +313,106 @@ fn placeholder_index() -> &'static TermIndex {
     INDEX.get_or_init(|| TermIndex::build(PLACEHOLDERS))
 }
 
+/// Characters of the longest term in either list (17 today). Folding never
+/// shortens a text, since every character folds to one or more, so a
+/// longer text matches no term.
+pub const MAX_TERM_CHARS: usize = longest_term();
+
+/// [`Folded`]'s buffer: four UTF-8 bytes for each char of the longest
+/// term, so every term fits; a fold that does not fit matches none.
+const FOLD_BYTES: usize = 4 * MAX_TERM_CHARS;
+
+const fn longest_term() -> usize {
+    let lists = [GENERIC_ACTIONS, PLACEHOLDERS];
+    let mut longest = 0;
+    let mut l = 0;
+    while l < lists.len() {
+        let mut t = 0;
+        while t < lists[l].len() {
+            let bytes = lists[l][t].text.as_bytes();
+            // Count the bytes that start a character.
+            let mut chars = 0;
+            let mut b = 0;
+            while b < bytes.len() {
+                chars += (bytes[b] & 0xC0 != 0x80) as usize;
+                b += 1;
+            }
+            if chars > longest {
+                longest = chars;
+            }
+            t += 1;
+        }
+        l += 1;
+    }
+    longest
+}
+
+/// A trimmed text case-folded once, in a stack buffer, for lookups in
+/// both term lists.
+///
+/// The fold is `str::to_lowercase` except for `Σ`, which always folds to
+/// `σ` here; `to_lowercase` makes it `ς` at the end of a word. No term
+/// contains `ς`, and every `σ` in a term is followed by a Greek small
+/// letter, which is cased and not case-ignorable, so a `Σ` in that place
+/// is never word-final: both folds match the same terms (a test checks
+/// the lists keep that shape).
+pub struct Folded {
+    bytes: [u8; FOLD_BYTES],
+    len: usize,
+}
+
+impl Folded {
+    /// Fold `trimmed`, or `None` when it cannot match a term: it has more
+    /// than [`MAX_TERM_CHARS`] characters or folds to more bytes than any
+    /// term has.
+    pub fn of(trimmed: &str) -> Option<Folded> {
+        let mut folded = Folded {
+            bytes: [0; FOLD_BYTES],
+            len: 0,
+        };
+        for (n, c) in trimmed.chars().enumerate() {
+            if n == MAX_TERM_CHARS {
+                return None;
+            }
+            if c.is_ascii() {
+                folded.push(c.to_ascii_lowercase())?;
+            } else if c == 'Σ' {
+                folded.push('σ')?;
+            } else {
+                for lower in c.to_lowercase() {
+                    folded.push(lower)?;
+                }
+            }
+        }
+        Some(folded)
+    }
+
+    fn push(&mut self, c: char) -> Option<()> {
+        let end = self.len + c.len_utf8();
+        c.encode_utf8(self.bytes.get_mut(self.len..end)?);
+        self.len = end;
+        Some(())
+    }
+
+    /// The generic-action term this text is, if any.
+    pub fn generic_action(&self) -> Option<Term> {
+        action_index().get(&self.bytes[..self.len])
+    }
+
+    /// The placeholder term this text is, if any.
+    pub fn placeholder(&self) -> Option<Term> {
+        placeholder_index().get(&self.bytes[..self.len])
+    }
+}
+
 /// Look up a generic-action term.
 pub fn generic_action(text: &str) -> Option<Term> {
-    action_index().lookup(text)
+    Folded::of(text.trim())?.generic_action()
 }
 
 /// Look up a placeholder term.
 pub fn placeholder(text: &str) -> Option<Term> {
-    placeholder_index().lookup(text)
+    Folded::of(text.trim())?.placeholder()
 }
 
 /// All generic actions in a given language (used by the generator to plant
@@ -455,6 +543,57 @@ mod tests {
             // And no term may be pure-Common.
             assert!(term.text.chars().any(|c| script_of(c) != Script::Common));
         }
+    }
+
+    #[test]
+    fn terms_are_stored_folded() {
+        // The index looks folded texts up by the terms' own spelling.
+        for term in GENERIC_ACTIONS.iter().chain(PLACEHOLDERS.iter()) {
+            assert_eq!(term.text, term.text.to_lowercase(), "{:?}", term.text);
+        }
+        assert_eq!(MAX_TERM_CHARS, "toggle navigation".chars().count());
+    }
+
+    #[test]
+    fn sigma_folds_cannot_change_a_match() {
+        // The shape `Folded` relies on to fold every `Σ` to `σ`.
+        for term in GENERIC_ACTIONS.iter().chain(PLACEHOLDERS.iter()) {
+            assert!(!term.text.contains('ς'), "{:?}", term.text);
+            let mut chars = term.text.chars().peekable();
+            while let Some(c) = chars.next() {
+                if c == 'σ' {
+                    let next = chars.peek().copied();
+                    assert!(
+                        next.is_some_and(|n| ('\u{3AC}'..='\u{3CE}').contains(&n)),
+                        "{:?}: σ before {next:?}",
+                        term.text
+                    );
+                }
+            }
+        }
+        assert!(generic_action("ΣΎΝΔΕΣΗ").is_some());
+        assert!(generic_action("ΚΛΕΊΣΙΜΟ").is_some());
+    }
+
+    #[test]
+    fn fold_agrees_with_to_lowercase() {
+        for text in [
+            "Close",
+            "İstanbul",
+            "ΜΕΝΟΎ",
+            "ПОИСК",
+            "닫기",
+            "ẞ",
+            "\u{212A}ELVIN",
+        ] {
+            let folded = Folded::of(text).expect("short text folds");
+            assert_eq!(&folded.bytes[..folded.len], text.to_lowercase().as_bytes());
+        }
+        // More characters than the longest term: no term can match, so
+        // nothing is folded.
+        assert!(Folded::of("toggle navigations").is_none());
+        assert!(Folded::of("toggle navigation").is_some());
+        assert!(Folded::of("İİİİİİİİİİİİİİİİİ").is_some());
     }
 
     #[test]

@@ -426,8 +426,15 @@ impl ScriptHistogram {
     /// Add a single character to the histogram.
     #[inline]
     pub fn push(&mut self, c: char) {
+        self.push_script(script_of(c));
+    }
+
+    /// Add a single character already classified as `script`, for a
+    /// caller that needs the classification itself too.
+    #[inline]
+    pub fn push_script(&mut self, script: Script) {
         self.total += 1;
-        match script_of(c) {
+        match script {
             Script::Common => self.common += 1,
             Script::Unknown => self.unknown += 1,
             s => self.counts[s.index()] += 1,

@@ -11,7 +11,8 @@
 //! a third language) is *OtherLanguage*; strings with no letters at all
 //! (digits, arrows, punctuation) are *NonLinguistic*.
 
-use crate::composition::{composition, Composition};
+use crate::composition::{composition_of_histogram, Composition};
+use langcrux_lang::script::ScriptHistogram;
 use langcrux_lang::Language;
 use serde::{Deserialize, Serialize};
 
@@ -51,7 +52,14 @@ impl LabelLanguage {
 
 /// Classify a label relative to a native language.
 pub fn classify_label(text: &str, native: Language) -> LabelLanguage {
-    classify_composition(composition(text, native))
+    classify_histogram(&ScriptHistogram::of(text), native)
+}
+
+/// Classify a label from the script histogram of its text, so a caller
+/// that has already scanned the text (as `langcrux_filter::scan` does)
+/// can label it against several languages without reading it again.
+pub fn classify_histogram(hist: &ScriptHistogram, native: Language) -> LabelLanguage {
+    classify_composition(composition_of_histogram(hist, native))
 }
 
 /// Classify from a pre-computed composition.

@@ -19,6 +19,6 @@ pub mod classify;
 pub mod composition;
 pub mod detect;
 
-pub use classify::{classify_label, LabelLanguage};
+pub use classify::{classify_histogram, classify_label, LabelLanguage};
 pub use composition::{composition, composition_of_histogram, meets_native_threshold, Composition};
 pub use detect::{detect, detect_with_histogram, TrigramDetector};

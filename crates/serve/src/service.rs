@@ -14,9 +14,8 @@
 use crate::cache::CacheKey;
 use langcrux_audit::{audit_page, gap_report, AuditReport, GapReport};
 use langcrux_crawl::extract_streaming;
-use langcrux_kizuki::{page_language, GapSpeech, Kizuki, KizukiReport, ScreenReader, Utterance};
+use langcrux_kizuki::{GapSpeech, Kizuki, KizukiReport, PageAnalysis, ScreenReader, Utterance};
 use langcrux_lang::script::Script;
-use langcrux_lang::Language;
 use serde::Serialize;
 
 /// Per-script character counts of the page's visible text (only scripts
@@ -99,9 +98,12 @@ impl AuditService {
     /// thing [`audit`](Self::audit) adds — tests use this to pin the
     /// streaming path byte-identical to the DOM oracle).
     fn audit_extract(&self, page: langcrux_crawl::PageExtract, html: &str) -> AuditResponse {
+        // One pass per text and one language detection, shared by Kizuki,
+        // gap speech and the speak order.
+        let analysis = PageAnalysis::new(&page, None);
+        let language = analysis.language;
         let base = audit_page(&page);
-        let kizuki = self.kizuki.evaluate(&page, &base);
-        let language = page_language(&page);
+        let kizuki = self.kizuki.evaluate_analysis(&analysis, &base);
         // Translation-gap pass: always computed here (the service has no
         // corpus flag to honour — a submitted page either has gap regions
         // or it doesn't).
@@ -110,9 +112,7 @@ impl AuditService {
         // Speak-order pass: announce against the detected content
         // language; undetermined pages are announced with an English
         // engine (the reader's default voice).
-        let speak_order = self
-            .reader
-            .announce_page(&page, language.unwrap_or(Language::English));
+        let speak_order = self.reader.speak_order(&page, &analysis);
 
         let total = page.visible_hist.distinguishing_total().max(1);
         let scripts = Script::ALL_DISTINGUISHING

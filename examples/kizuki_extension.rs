@@ -11,12 +11,11 @@
 //! ```
 
 use langcrux::audit::audit_page;
-use langcrux::crawl::{extract, PageExtract};
+use langcrux::crawl::extract;
 use langcrux::html::parse;
-use langcrux::kizuki::{CheckOutcome, Kizuki, LanguageAwareCheck, LinkLanguageCheck};
+use langcrux::kizuki::{CheckOutcome, Kizuki, LanguageAwareCheck, LinkLanguageCheck, PageAnalysis};
 use langcrux::lang::a11y::ElementKind;
-use langcrux::lang::Language;
-use langcrux::langid::{classify_label, LabelLanguage};
+use langcrux::langid::LabelLanguage;
 
 /// A user-defined check: `<button>` accessible names must be in the page's
 /// language. Implemented exactly like a third-party extension would.
@@ -31,21 +30,17 @@ impl LanguageAwareCheck for ButtonLanguageCheck {
         ElementKind::ButtonName
     }
 
-    fn evaluate(&self, page: &PageExtract, page_language: Language) -> CheckOutcome {
+    fn evaluate(&self, page: &PageAnalysis) -> CheckOutcome {
         let mut examined = 0;
         let mut mismatched = 0;
+        // Judge the accessible name a screen reader would announce: the
+        // explicit label, or the visible fallback text. The analysis has
+        // already labelled it against the page language.
         for button in page.of_kind(ElementKind::ButtonName) {
-            // Judge the accessible name a screen reader would announce:
-            // the explicit label, or the visible fallback text.
-            let name = button
-                .content()
-                .map(str::to_string)
-                .or_else(|| button.visible_fallback.clone());
-            let Some(name) = name else { continue };
-            match classify_label(&name, page_language) {
-                LabelLanguage::NonLinguistic => {}
-                LabelLanguage::Native | LabelLanguage::Mixed => examined += 1,
-                LabelLanguage::English | LabelLanguage::OtherLanguage => {
+            match button.name_label {
+                None | Some(LabelLanguage::NonLinguistic) => {}
+                Some(LabelLanguage::Native | LabelLanguage::Mixed) => examined += 1,
+                Some(LabelLanguage::English | LabelLanguage::OtherLanguage) => {
                     examined += 1;
                     mismatched += 1;
                 }
