@@ -834,6 +834,9 @@ fn run_wave<E: UnitExecutor + ?Sized>(
     // Wave-scoped counter deltas, folded into `stats` after the scope
     // joins (dispatchers run on their own threads).
     let delta = Mutex::new(DistStats::default());
+    // Dispatchers carry the caller's trace context, so in-process units
+    // record into a traced build's session.
+    let trace_context = &obs::trace::current();
 
     std::thread::scope(|scope| {
         for worker in 0..workers {
@@ -842,6 +845,7 @@ fn run_wave<E: UnitExecutor + ?Sized>(
             let delta = &delta;
             let pending = &pending;
             scope.spawn(move || {
+                let _trace = trace_context.enter();
                 let mut consecutive_failures = 0u32;
                 loop {
                     if halted.load(Ordering::SeqCst) {

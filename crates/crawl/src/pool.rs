@@ -49,6 +49,11 @@ where
 /// determinism contract is unchanged *provided* task results do not depend
 /// on the state's history, which holds for browsers (a visit depends only
 /// on `(corpus seed, host, vantage)`).
+///
+/// Each worker thread enters the caller's trace context
+/// ([`langcrux_obs::trace::current`]) once, and every task runs under a
+/// [`task_fence`](langcrux_obs::trace::task_fence), so a traced build
+/// records the same span structure at every thread count.
 pub fn run_work_stealing_with<T, R, S, I, F>(threads: usize, tasks: &[T], init: I, f: F) -> Vec<R>
 where
     T: Sync,
@@ -65,7 +70,8 @@ where
             .map(|(i, t)| {
                 // Depth-fence each task so trace spans nest identically
                 // whether the task runs inline here (under the caller's
-                // open orchestration span) or on a pool worker.
+                // open orchestration span and trace context) or on a pool
+                // worker that entered that context.
                 let _fence = langcrux_obs::trace::task_fence();
                 f(&mut state, i, t)
             })
@@ -86,11 +92,13 @@ where
     let queues = &queues;
     let f = &f;
     let init = &init;
+    let trace_context = &langcrux_obs::trace::current();
 
     let mut indexed: Vec<(usize, R)> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..threads)
             .map(|w| {
                 scope.spawn(move || {
+                    let _trace = trace_context.enter();
                     let mut state = init(w);
                     let mut results: Vec<(usize, R)> = Vec::new();
                     loop {

@@ -4,8 +4,9 @@
 //!
 //! - [`trace`] — deterministic span tracing: RAII guards around every
 //!   pipeline stage record into lock-free per-worker rings, merged into
-//!   a [`trace::TraceReport`] at session end. Zero-cost when disabled
-//!   (one relaxed atomic load per call site).
+//!   a [`trace::TraceReport`] at session end. A session is carried by
+//!   the thread that opened it and by the threads its work runs on;
+//!   zero-cost elsewhere (one thread-local read per call site).
 //! - [`chrome`] — renders a report as Chrome `traceEvents` JSON for
 //!   `chrome://tracing` / Perfetto (`repro --trace-out`).
 //! - [`registry`] — the single metrics registry: every subsystem encodes

@@ -1,18 +1,27 @@
 //! Deterministic span tracing for the langcrux pipeline.
 //!
-//! One global *trace session* at a time; every thread that opens a span
-//! while a session is active lazily registers a fixed-capacity,
-//! single-producer span buffer ("worker ring") and appends completed
-//! spans to it with no locks on the hot path. [`TraceSession::finish`]
-//! merges the rings into a [`TraceReport`].
+//! A *trace session* belongs to the work that opened it. [`start`]
+//! installs a new session on the calling thread, and only threads that
+//! carry a session record spans: an untraced build running at the same
+//! time on other threads never lands in it. Work handed to other threads
+//! takes the session along — [`current`] captures the context this
+//! thread carries and [`TraceContext::enter`] installs it on another
+//! thread for a scope. The crawl pool (`run_work_stealing_with`) and the
+//! distributed build's dispatcher threads do this for every thread they
+//! spawn; a raw `std::thread::spawn` carries nothing.
+//!
+//! Each thread that records under a session lazily registers a
+//! fixed-capacity, single-producer span buffer ("worker ring") and
+//! appends completed spans to it with no locks on the hot path.
+//! [`TraceSession::finish`] merges the rings into a [`TraceReport`].
 //!
 //! # Zero cost when disabled
 //!
-//! [`span`] and [`virtual_wait`] begin with a single `Relaxed` atomic
-//! load of the global `ACTIVE` flag and return an inert guard when it is
-//! clear — no TLS access, no allocation, no time reads. The overhead of
-//! the disabled path is CI-gated (see `ObservabilityRecord` in
-//! `langcrux-bench`).
+//! [`span`], [`virtual_wait`], [`task_fence`] and [`enabled`] begin with
+//! one thread-local load — does this thread carry a session? — and
+//! return an inert guard when it does not: no allocation, no time reads,
+//! no shared memory touched. The overhead of the disabled path is
+//! CI-gated (see `ObservabilityRecord` in `langcrux-bench`).
 //!
 //! # Determinism contract
 //!
@@ -33,9 +42,10 @@
 //! open orchestration span) would record different depths than a
 //! multi-threaded one.
 
-use std::cell::{RefCell, UnsafeCell};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::cell::{Cell, RefCell, UnsafeCell};
+use std::marker::PhantomData;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 /// One recorded span. `name`/`key`/`depth`/`virtual_ms` are
@@ -89,10 +99,11 @@ impl Default for TraceConfig {
     }
 }
 
-/// Single-producer span buffer owned by one thread via TLS. The producer
-/// writes a slot then publishes it with a `Release` store of `len`; the
-/// merging reader loads `len` with `Acquire` and reads only below it, so
-/// a straggling producer can never race the reader onto the same slot.
+/// Single-producer span buffer. The producer is the one thread whose
+/// context holds the ring (see [`Carried`]); it writes a slot then
+/// publishes it with a `Release` store of `len`. The merging reader
+/// loads `len` with `Acquire` and reads only below it, so a straggling
+/// producer can never race the reader onto the same slot.
 struct WorkerRing {
     worker: u32,
     slots: Box<[UnsafeCell<SpanRecord>]>,
@@ -102,7 +113,10 @@ struct WorkerRing {
 
 // SAFETY: slots below `len` are immutable once published (Release store
 // by the unique producer, Acquire load by readers); slots at or above
-// `len` are touched only by the producer thread.
+// `len` are touched only by the producer thread — a ring is reachable
+// for writing only through a `Carried`, which lives in one thread's
+// context or in that thread's `!Send` `ContextGuard`. `len` and
+// `dropped` are atomics; `worker` is immutable.
 unsafe impl Sync for WorkerRing {}
 unsafe impl Send for WorkerRing {}
 
@@ -138,158 +152,193 @@ impl WorkerRing {
     }
 }
 
-struct SessionState {
-    epoch: u64,
+/// The shared half of a session: its clock, its configuration and the
+/// rings its threads registered, in registration order.
+struct Session {
     config: TraceConfig,
     start: Instant,
-    rings: Vec<Arc<WorkerRing>>,
+    rings: Mutex<Vec<Arc<WorkerRing>>>,
 }
 
-/// Fast-path switch: one `Relaxed` load decides span/fence inertness.
-static ACTIVE: AtomicBool = AtomicBool::new(false);
-/// Current session epoch (0 = none); lets TLS detect stale registration.
-static EPOCH: AtomicU64 = AtomicU64::new(0);
-static NEXT_EPOCH: AtomicU64 = AtomicU64::new(0);
-
-fn session() -> &'static (Mutex<Option<SessionState>>, Condvar) {
-    static S: std::sync::OnceLock<(Mutex<Option<SessionState>>, Condvar)> =
-        std::sync::OnceLock::new();
-    S.get_or_init(|| (Mutex::new(None), Condvar::new()))
+impl Session {
+    fn register_ring(&self) -> Arc<WorkerRing> {
+        // A push leaves the list valid at every step, so a poisoned lock
+        // is safe to recover.
+        let mut rings = self.rings.lock().unwrap_or_else(|e| e.into_inner());
+        let ring = Arc::new(WorkerRing::new(
+            rings.len() as u32,
+            self.config.capacity_per_worker,
+        ));
+        rings.push(Arc::clone(&ring));
+        ring
+    }
 }
 
-struct Tls {
-    epoch: u64,
+/// A thread's share of the session it carries: its ring (registered on
+/// its first span) and its depth bookkeeping.
+struct Carried {
+    session: Arc<Session>,
     ring: Option<Arc<WorkerRing>>,
-    epoch_start: Instant,
     depth: u32,
     base: u32,
 }
 
-thread_local! {
-    static TLS: RefCell<Tls> = RefCell::new(Tls {
-        epoch: 0,
-        ring: None,
-        epoch_start: Instant::now(),
-        depth: 0,
-        base: 0,
-    });
+impl Carried {
+    /// Identity of the carried session; guards compare it so a span or
+    /// fence never closes into a session other than the one it opened in.
+    fn id(&self) -> usize {
+        Arc::as_ptr(&self.session) as usize
+    }
+
+    fn ring(&mut self) -> &WorkerRing {
+        let session = &self.session;
+        self.ring.get_or_insert_with(|| session.register_ring())
+    }
 }
 
-/// Is a trace session currently active? (The same `Relaxed` load the
-/// span fast path uses.)
+thread_local! {
+    /// The session this thread carries, if any.
+    static CONTEXT: RefCell<Option<Carried>> = const { RefCell::new(None) };
+    /// Whether `CONTEXT` holds a session: the one read the disabled path
+    /// makes (a plain load, with no destructor state or borrow flag).
+    static CARRYING: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Make `carried` this thread's context and return the one it replaces.
+/// The only writer of `CONTEXT` and `CARRYING`, which keeps them equal.
+fn install(carried: Option<Carried>) -> Option<Carried> {
+    // Untraced to untraced: an untraced pool worker never touches `CONTEXT`.
+    if carried.is_none() && !enabled() {
+        return None;
+    }
+    CARRYING.with(|on| on.set(carried.is_some()));
+    CONTEXT.try_with(|c| c.replace(carried)).ok().flatten()
+}
+
+/// Run `f` on this thread's share of the session it carries; `None` when
+/// it carries none (or its thread-locals are already torn down).
+fn with_carried<R>(f: impl FnOnce(&mut Carried) -> R) -> Option<R> {
+    CONTEXT
+        .try_with(|c| c.borrow_mut().as_mut().map(f))
+        .ok()
+        .flatten()
+}
+
+/// Does this thread carry a trace session? (The same thread-local read
+/// the span fast path makes.)
 #[inline]
 pub fn enabled() -> bool {
-    ACTIVE.load(Ordering::Relaxed)
+    CARRYING.with(Cell::get)
 }
 
-/// Start the global trace session. If another session is active, blocks
-/// until it finishes — sessions are exclusive so concurrently running
-/// tests cannot interleave their spans.
+/// Start a trace session and install it on the calling thread, saving
+/// whatever context the thread carried before. Never blocks: sessions on
+/// different threads are independent, and sessions on one thread nest —
+/// finishing (or dropping) the inner one restores the outer.
+///
+/// Spans are recorded only on this thread and on threads that enter its
+/// context (see [`current`]).
 pub fn start(config: TraceConfig) -> TraceSession {
-    let (lock, cvar) = session();
-    let mut guard = lock.lock().unwrap_or_else(|e| e.into_inner());
-    while guard.is_some() {
-        guard = cvar.wait(guard).unwrap_or_else(|e| e.into_inner());
-    }
-    let epoch = NEXT_EPOCH.fetch_add(1, Ordering::Relaxed) + 1;
-    *guard = Some(SessionState {
-        epoch,
+    let session = Arc::new(Session {
         config,
         start: Instant::now(),
-        rings: Vec::new(),
+        rings: Mutex::new(Vec::new()),
     });
-    EPOCH.store(epoch, Ordering::Release);
-    ACTIVE.store(true, Ordering::Release);
-    TraceSession {
-        epoch,
-        finished: false,
+    let guard = TraceContext {
+        session: Some(Arc::clone(&session)),
     }
+    .enter();
+    TraceSession { session, guard }
 }
 
-/// Handle to the active session; finish it to collect the report. Spans
-/// recorded after `finish` (or on a ring that filled) are dropped with
-/// accounting, never corrupted.
+/// Handle to a session opened by [`start`]; finish it to collect the
+/// report. It restores the opening thread's previous context, so it
+/// stays on that thread (`!Send`).
 #[must_use = "finish() collects the report; dropping ends the session empty"]
 pub struct TraceSession {
-    epoch: u64,
-    finished: bool,
+    session: Arc<Session>,
+    guard: ContextGuard,
 }
 
 impl TraceSession {
     /// End the session and merge every worker ring into a report. The
     /// caller must have joined all traced work first; spans still open
     /// on other threads are not recorded.
-    pub fn finish(mut self) -> TraceReport {
-        self.finished = true;
-        end_session(self.epoch).unwrap_or_else(TraceReport::empty)
+    pub fn finish(self) -> TraceReport {
+        let TraceSession { session, guard } = self;
+        drop(guard);
+        let rings = session.rings.lock().unwrap_or_else(|e| e.into_inner());
+        let workers: Vec<WorkerTrace> = rings
+            .iter()
+            .map(|ring| WorkerTrace {
+                worker: ring.worker,
+                dropped: ring.dropped.load(Ordering::Relaxed),
+                spans: ring.drain(),
+            })
+            .collect();
+        TraceReport {
+            capacity_per_worker: session.config.capacity_per_worker,
+            dropped_spans: workers.iter().map(|w| w.dropped).sum(),
+            workers,
+        }
     }
 }
 
-impl Drop for TraceSession {
+/// The trace context a thread carries, captured by [`current`] so the
+/// threads that do its work can [`enter`](TraceContext::enter) it. Empty
+/// when the capturing thread carried no session.
+pub struct TraceContext {
+    session: Option<Arc<Session>>,
+}
+
+/// The context this thread carries, to hand to the threads it spawns.
+pub fn current() -> TraceContext {
+    if !enabled() {
+        return TraceContext { session: None };
+    }
+    let session = CONTEXT
+        .try_with(|c| c.borrow().as_ref().map(|c| Arc::clone(&c.session)))
+        .ok()
+        .flatten();
+    TraceContext { session }
+}
+
+impl TraceContext {
+    /// Carry this context on the calling thread until the guard drops,
+    /// which restores what the thread carried before. The thread gets
+    /// its own ring and span stack; entering an empty context makes the
+    /// thread untraced for the scope.
+    pub fn enter(&self) -> ContextGuard {
+        let carried = self.session.clone().map(|session| Carried {
+            session,
+            ring: None,
+            depth: 0,
+            base: 0,
+        });
+        let saved = install(carried);
+        ContextGuard {
+            saved,
+            _not_send: PhantomData,
+        }
+    }
+}
+
+/// Scope of an entered [`TraceContext`]; restores the thread's previous
+/// context on drop, so it stays on the thread that entered (`!Send`).
+#[must_use = "the context is carried only while the guard lives"]
+pub struct ContextGuard {
+    saved: Option<Carried>,
+    _not_send: PhantomData<*const ()>,
+}
+
+impl Drop for ContextGuard {
     fn drop(&mut self) {
-        if !self.finished {
-            let _ = end_session(self.epoch);
-        }
+        install(self.saved.take());
     }
 }
 
-fn end_session(epoch: u64) -> Option<TraceReport> {
-    let (lock, cvar) = session();
-    let mut guard = lock.lock().unwrap_or_else(|e| e.into_inner());
-    let state = match guard.as_ref() {
-        Some(s) if s.epoch == epoch => guard.take().unwrap(),
-        _ => return None,
-    };
-    ACTIVE.store(false, Ordering::Release);
-    EPOCH.store(0, Ordering::Release);
-    let mut workers: Vec<WorkerTrace> = state
-        .rings
-        .iter()
-        .map(|ring| WorkerTrace {
-            worker: ring.worker,
-            dropped: ring.dropped.load(Ordering::Relaxed),
-            spans: ring.drain(),
-        })
-        .collect();
-    workers.sort_by_key(|w| w.worker);
-    let report = TraceReport {
-        capacity_per_worker: state.config.capacity_per_worker,
-        dropped_spans: workers.iter().map(|w| w.dropped).sum(),
-        workers,
-    };
-    cvar.notify_one();
-    Some(report)
-}
-
-/// Ensure this thread has a ring for the current epoch; returns whether
-/// recording is possible. Resets depth bookkeeping on epoch change.
-fn ensure_registered(tls: &mut Tls, epoch: u64) -> bool {
-    if tls.epoch == epoch {
-        return tls.ring.is_some();
-    }
-    tls.epoch = epoch;
-    tls.ring = None;
-    tls.depth = 0;
-    tls.base = 0;
-    let (lock, _) = session();
-    let mut guard = lock.lock().unwrap_or_else(|e| e.into_inner());
-    if let Some(state) = guard.as_mut() {
-        if state.epoch == epoch {
-            let ring = Arc::new(WorkerRing::new(
-                state.rings.len() as u32,
-                state.config.capacity_per_worker,
-            ));
-            state.rings.push(Arc::clone(&ring));
-            tls.epoch_start = state.start;
-            tls.ring = Some(ring);
-            return true;
-        }
-    }
-    false
-}
-
-/// RAII span guard. Records on drop; inert (a no-op shell) when tracing
-/// is disabled.
+/// RAII span guard. Records on drop; inert (a no-op shell) when the
+/// thread carries no session.
 #[must_use = "a span records its duration when dropped"]
 pub struct Span {
     data: Option<SpanData>,
@@ -298,17 +347,17 @@ pub struct Span {
 struct SpanData {
     name: &'static str,
     key: u64,
-    epoch: u64,
+    session: usize,
     depth: u32,
     start: Instant,
     virtual_ms: u64,
 }
 
-/// Open a span for `name` with a deterministic `key`. One relaxed atomic
-/// load when tracing is off.
+/// Open a span for `name` with a deterministic `key`. One thread-local
+/// read when the thread carries no session.
 #[inline]
 pub fn span(name: &'static str, key: u64) -> Span {
-    if !ACTIVE.load(Ordering::Relaxed) {
+    if !enabled() {
         return Span { data: None };
     }
     span_slow(name, key)
@@ -316,28 +365,21 @@ pub fn span(name: &'static str, key: u64) -> Span {
 
 #[cold]
 fn span_slow(name: &'static str, key: u64) -> Span {
-    let epoch = EPOCH.load(Ordering::Acquire);
-    if epoch == 0 {
-        return Span { data: None };
-    }
-    TLS.with(|t| {
-        let mut tls = t.borrow_mut();
-        if !ensure_registered(&mut tls, epoch) {
-            return Span { data: None };
+    let data = with_carried(|c| {
+        // Register on open, so ring ordinals follow first-span order.
+        c.ring();
+        let depth = c.depth - c.base;
+        c.depth += 1;
+        SpanData {
+            name,
+            key,
+            session: c.id(),
+            depth,
+            start: Instant::now(),
+            virtual_ms: 0,
         }
-        let depth = tls.depth - tls.base;
-        tls.depth += 1;
-        Span {
-            data: Some(SpanData {
-                name,
-                key,
-                epoch,
-                depth,
-                start: Instant::now(),
-                virtual_ms: 0,
-            }),
-        }
-    })
+    });
+    Span { data }
 }
 
 impl Span {
@@ -361,16 +403,14 @@ impl Span {
 impl Drop for Span {
     fn drop(&mut self) {
         let Some(d) = self.data.take() else { return };
-        TLS.with(|t| {
-            let mut tls = t.borrow_mut();
-            if tls.epoch != d.epoch {
+        with_carried(|c| {
+            if c.id() != d.session {
                 return;
             }
-            tls.depth = tls.depth.saturating_sub(1);
-            let Some(ring) = tls.ring.clone() else { return };
-            let start_us = d.start.duration_since(tls.epoch_start).as_micros() as u64;
+            c.depth = c.depth.saturating_sub(1);
+            let start_us = d.start.duration_since(c.session.start).as_micros() as u64;
             let dur_us = d.start.elapsed().as_micros() as u64;
-            ring.push(SpanRecord {
+            c.ring().push(SpanRecord {
                 name: d.name,
                 key: d.key,
                 depth: d.depth,
@@ -386,71 +426,57 @@ impl Drop for Span {
 /// cooldown) as a zero-wall-duration child span of the open span.
 #[inline]
 pub fn virtual_wait(name: &'static str, key: u64, virtual_ms: u64) {
-    if !ACTIVE.load(Ordering::Relaxed) {
-        return;
+    if enabled() {
+        virtual_wait_slow(name, key, virtual_ms);
     }
-    virtual_wait_slow(name, key, virtual_ms);
 }
 
 #[cold]
 fn virtual_wait_slow(name: &'static str, key: u64, virtual_ms: u64) {
-    let epoch = EPOCH.load(Ordering::Acquire);
-    if epoch == 0 {
-        return;
-    }
-    TLS.with(|t| {
-        let mut tls = t.borrow_mut();
-        if !ensure_registered(&mut tls, epoch) {
-            return;
-        }
-        let depth = tls.depth - tls.base;
-        let start_us = tls.epoch_start.elapsed().as_micros() as u64;
-        let Some(ring) = tls.ring.clone() else { return };
-        ring.push(SpanRecord {
+    with_carried(|c| {
+        let record = SpanRecord {
             name,
             key,
-            depth,
-            start_us,
+            depth: c.depth - c.base,
+            start_us: c.session.start.elapsed().as_micros() as u64,
             dur_us: 0,
             virtual_ms,
-        });
+        };
+        c.ring().push(record);
     });
 }
 
 /// Depth fence for one work-stealing task: spans opened inside record
 /// their depth relative to the fence, so a task inlined on a thread with
 /// an open orchestration span nests identically to one on a fresh pool
-/// worker. Inert when tracing is off.
+/// worker. Inert when the thread carries no session.
 #[must_use = "the fence restores depth bookkeeping when dropped"]
 pub struct TaskFence {
-    saved: Option<(u64, u32)>,
+    saved: Option<(usize, u32)>,
 }
 
 /// Open a depth fence for the current task.
 #[inline]
 pub fn task_fence() -> TaskFence {
-    if !ACTIVE.load(Ordering::Relaxed) {
+    if !enabled() {
         return TaskFence { saved: None };
     }
-    TLS.with(|t| {
-        let mut tls = t.borrow_mut();
-        let saved = (tls.epoch, tls.base);
-        tls.base = tls.depth;
-        TaskFence { saved: Some(saved) }
-    })
+    let saved = with_carried(|c| {
+        let saved = (c.id(), c.base);
+        c.base = c.depth;
+        saved
+    });
+    TaskFence { saved }
 }
 
 impl Drop for TaskFence {
     fn drop(&mut self) {
-        let Some((epoch, base)) = self.saved.take() else {
+        let Some((session, base)) = self.saved.take() else {
             return;
         };
-        TLS.with(|t| {
-            let mut tls = t.borrow_mut();
-            // Registration inside the fence resets bookkeeping on epoch
-            // change; only restore if the fence's epoch is still live.
-            if tls.epoch == epoch {
-                tls.base = base;
+        with_carried(|c| {
+            if c.id() == session {
+                c.base = base;
             }
         });
     }
@@ -505,14 +531,6 @@ pub struct StageSummary {
 }
 
 impl TraceReport {
-    fn empty() -> TraceReport {
-        TraceReport {
-            workers: Vec::new(),
-            dropped_spans: 0,
-            capacity_per_worker: 0,
-        }
-    }
-
     /// Total recorded spans.
     pub fn span_count(&self) -> u64 {
         self.workers.iter().map(|w| w.spans.len() as u64).sum()
@@ -746,7 +764,9 @@ mod tests {
         let session = start(TraceConfig::default());
         let handles: Vec<_> = (0..3)
             .map(|i| {
+                let ctx = current();
                 std::thread::spawn(move || {
+                    let _ctx = ctx.enter();
                     let _fence = task_fence();
                     let _s = span("test.thread", i);
                 })
@@ -761,6 +781,30 @@ mod tests {
         assert_eq!(report.span_count(), 4);
         assert!(report.workers.len() >= 2);
         assert_eq!(report.stage_names(), vec!["test.main", "test.thread"]);
+    }
+
+    #[test]
+    fn nested_sessions_restore_the_outer_context() {
+        let outer = start(TraceConfig::default());
+        {
+            let _a = span("test.outer", 1);
+            let inner = start(TraceConfig::default());
+            let _b = span("test.inner", 2);
+            drop(_b);
+            let report = inner.finish();
+            assert_eq!(report.stage_names(), vec!["test.inner"]);
+            assert!(report
+                .structure_digest()
+                .contains("test.inner 0000000000000002 0 0 x1"));
+            // The outer session's open span survives the inner session.
+            let _c = span("test.after", 3);
+        }
+        let report = outer.finish();
+        assert!(!enabled());
+        let digest = report.structure_digest();
+        assert!(digest.contains("test.outer 0000000000000001 0 0 x1"));
+        assert!(digest.contains("test.after 0000000000000003 1 0 x1"));
+        assert!(!digest.contains("test.inner"));
     }
 
     #[test]

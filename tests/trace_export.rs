@@ -7,9 +7,16 @@
 //! (same seed → same names/nesting/counts/virtual durations, at every
 //! worker count), and instrumentation never changes the science: the
 //! dataset and crawl-ledger bytes are identical with tracing on and off.
-//! Ring overflow must be accounted, never silent.
+//! Ring overflow must be accounted, never silent. A session holds the
+//! spans of the work that carries it and nothing else: untraced work on
+//! other threads stays out, and work handed to the crawl pool or the
+//! distributed build's dispatchers comes in.
 
+use langcrux::core::dist::{
+    build_dataset_distributed, DistOptions, LocalExecutor, WireBuildConfig,
+};
 use langcrux::core::{build_dataset, build_dataset_with_ledger, PipelineOptions};
+use langcrux::crawl::BrowserConfig;
 use langcrux::obs::chrome;
 use langcrux::obs::trace::{self, TraceConfig, TraceReport};
 use langcrux::webgen::{Corpus, CorpusConfig};
@@ -141,6 +148,60 @@ fn span_structure_deterministic_across_worker_counts_and_runs() {
         reference,
         traced_build(24, 1).structure_digest(),
         "digest is insensitive to the seed"
+    );
+}
+
+#[test]
+fn untraced_build_on_another_thread_stays_out_of_the_session() {
+    let lone = traced_build(23, 1).structure_digest();
+
+    // An untraced build on another corpus runs on a second thread for the
+    // whole life of the session; it carries no context, so none of its
+    // spans (its own or its pool workers') may land in the session.
+    let corpus = Corpus::build(CorpusConfig::small(23, QUOTA));
+    let foreign = Corpus::build(CorpusConfig::small(37, QUOTA));
+    let session = trace::start(TraceConfig::default());
+    std::thread::scope(|scope| {
+        let untraced = scope.spawn(|| build_dataset(&foreign, options(2)).len());
+        assert!(!build_dataset(&corpus, options(1)).is_empty());
+        assert!(untraced.join().expect("untraced build panicked") > 0);
+    });
+    let report = session.finish();
+
+    assert_eq!(
+        lone,
+        report.structure_digest(),
+        "spans from an untraced build leaked into the session"
+    );
+}
+
+#[test]
+fn traced_in_process_dist_build_keeps_its_unit_spans() {
+    let corpus = Corpus::build(CorpusConfig::small(23, QUOTA));
+    let executor = LocalExecutor::new(&WireBuildConfig::of(&corpus, BrowserConfig::default()));
+    let options = DistOptions {
+        quota: QUOTA,
+        workers: 2,
+        ..DistOptions::default()
+    };
+    let session = trace::start(TraceConfig::default());
+    let build = build_dataset_distributed(&corpus, &executor, &options).expect("distributed build");
+    let report = session.finish();
+
+    // Units run on the coordinator's dispatcher threads, which carry its
+    // context: every executed unit is traced, with its fetches under it.
+    let spans: Vec<_> = report.workers.iter().flat_map(|w| &w.spans).collect();
+    let units = spans.iter().filter(|s| s.name == "dist.unit").count();
+    assert_eq!(units as u64, build.stats.units_executed);
+    let fetch_depths: Vec<u32> = spans
+        .iter()
+        .filter(|s| s.name == "crawl.fetch")
+        .map(|s| s.depth)
+        .collect();
+    assert!(!fetch_depths.is_empty(), "no fetch spans from the units");
+    assert!(
+        fetch_depths.iter().all(|&d| d == 1),
+        "fetches must nest directly under their unit"
     );
 }
 
