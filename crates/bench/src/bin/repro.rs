@@ -4,7 +4,7 @@
 //! repro [ARTIFACT...] [--sites N | --quick | --full] [--seed S]
 //!       [--fault-plan reliable|default|hostile|PATH.json] [--gap-scenarios]
 //!       [--trace-out [PATH]] [--trace-summary] [--metrics-out FILE]
-//!       [--report] [--bench-json [PATH]] [--serve-bench [PATH]]
+//!       [--report] [--serve-bench [PATH]]
 //!       [--serve-daemon [PATH]] [--serve-core threaded|reactor]
 //!       [--port N] [--loadgen ADDR] [--dataset-out FILE]
 //!       [--dist N] [--chaos-kill-workers] [--dist-checkpoint PATH]
@@ -16,20 +16,14 @@
 //!         | ablation-vpn | ablation-langid | ablation-crawl
 //! ```
 //!
-//! `--bench-json` times the seed pipeline against the fused single-pass
-//! engine at `Scale::Quick` and `Scale::Default` (or the scale given by
-//! `--sites/--quick/--full`), writing the before/after record to
-//! `BENCH_pipeline.json` (or PATH). Bench flags replace the implicit
-//! `all` artefact run; artefacts named explicitly alongside a bench flag
-//! are still produced.
-//! On multi-core hosts the record also carries per-worker-count timings
-//! (`worker_scaling`). Run it under `--release` for meaningful numbers.
-//!
 //! `--serve-bench` spawns the `langcrux-serve` audit server on an
 //! ephemeral loopback port, drives it with the load generator (cold =
 //! all cache misses, hot = all cache hits, bounded = hot with the
 //! connection governor at its tightest), and writes `BENCH_serve.json`
-//! (or PATH). `--quick` shrinks the workload to CI-smoke size.
+//! (or PATH). `--quick` shrinks the workload to CI-smoke size. The flag
+//! replaces the implicit `all` artefact run; artefacts named explicitly
+//! alongside it are still produced. Build timings come from
+//! `perfbench/`.
 //!
 //! `--trace-out [PATH]` runs the dataset build inside a span-tracing
 //! session and writes the merged spans as Chrome `traceEvents` JSON
@@ -97,7 +91,7 @@
 //! The harness builds the synthetic corpus, runs the full LangCrUX
 //! pipeline, and prints the paper-format rows/series. Absolute values are
 //! corpus-scale dependent; the *shapes* (orderings, crossovers, drops)
-//! reproduce the paper — see EXPERIMENTS.md for paper-vs-measured.
+//! reproduce the paper (`tests/paper_shapes.rs` checks them).
 
 use langcrux_bench::{langid_ablation, vpn_ablation, Scale};
 use langcrux_core::{analysis, render, selection, Dataset};
@@ -108,14 +102,12 @@ use langcrux_lang::Country;
 struct Args {
     artifacts: Vec<String>,
     /// Whether artifacts were named on the command line (as opposed to
-    /// the implicit `all` default). Bench flags replace the implicit
-    /// default but never swallow explicitly requested artifacts.
+    /// the implicit `all` default). `--serve-bench` and `--serve-daemon`
+    /// replace the implicit default but never swallow explicitly
+    /// requested artifacts.
     explicit_artifacts: bool,
     scale: Scale,
-    scale_overridden: bool,
     seed: u64,
-    /// `Some(path)` when `--bench-json` was requested.
-    bench_json: Option<String>,
     /// `Some(path)` when `--serve-bench` was requested.
     serve_bench: Option<String>,
     /// `Some(pid/port-file path)` when `--serve-daemon` was requested.
@@ -170,11 +162,9 @@ fn resolve_fault_plan(value: &str) -> langcrux_net::FaultPlan {
 fn parse_args() -> Args {
     let mut artifacts = Vec::new();
     let mut scale = Scale::Default;
-    let mut scale_overridden = false;
     let mut seed = DEFAULT_SEED;
     let mut fault_plan = langcrux_net::FaultPlan::default();
     let mut gap_scenarios = false;
-    let mut bench_json = None;
     let mut serve_bench = None;
     let mut serve_daemon = None;
     let mut serve_core = langcrux_serve::ServeCore::default();
@@ -194,11 +184,9 @@ fn parse_args() -> Args {
         match arg.as_str() {
             "--quick" => {
                 scale = Scale::Quick;
-                scale_overridden = true;
             }
             "--full" => {
                 scale = Scale::Full;
-                scale_overridden = true;
             }
             "--sites" => {
                 let n = iter
@@ -206,7 +194,6 @@ fn parse_args() -> Args {
                     .and_then(|v| v.parse().ok())
                     .expect("--sites requires a number");
                 scale = Scale::Sites(n);
-                scale_overridden = true;
             }
             "--seed" => {
                 seed = iter
@@ -223,17 +210,10 @@ fn parse_args() -> Args {
             "--gap-scenarios" => {
                 gap_scenarios = true;
             }
-            "--bench-json" => {
+            "--serve-bench" => {
                 // Only a `.json`-looking token is taken as the output path,
                 // so a trailing artifact name or flag typo is not silently
                 // consumed as a file name.
-                let path = match iter.peek() {
-                    Some(next) if next.ends_with(".json") => iter.next().unwrap(),
-                    _ => "BENCH_pipeline.json".to_string(),
-                };
-                bench_json = Some(path);
-            }
-            "--serve-bench" => {
                 let path = match iter.peek() {
                     Some(next) if next.ends_with(".json") => iter.next().unwrap(),
                     _ => "BENCH_serve.json".to_string(),
@@ -308,7 +288,7 @@ fn parse_args() -> Args {
                     "repro [ARTIFACT...] [--sites N | --quick | --full] [--seed S] \
                      [--fault-plan reliable|default|hostile|PATH.json] [--gap-scenarios] \
                      [--trace-out [PATH]] [--trace-summary] [--metrics-out FILE] [--report] \
-                     [--bench-json [PATH]] [--serve-bench [PATH]] \
+                     [--serve-bench [PATH]] \
                      [--serve-daemon [PATH]] [--serve-core threaded|reactor] \
                      [--port N] [--loadgen ADDR] [--dataset-out FILE] \
                      [--dist N] [--chaos-kill-workers] [--dist-checkpoint PATH] \
@@ -330,9 +310,7 @@ fn parse_args() -> Args {
         artifacts,
         explicit_artifacts,
         scale,
-        scale_overridden,
         seed,
-        bench_json,
         serve_bench,
         serve_daemon,
         serve_core,
@@ -621,42 +599,10 @@ fn main() {
         langcrux_bench::serve_bench::write_serve_json(path, &report).expect("write serve json");
         eprintln!("wrote {path}");
     }
-    if let Some(path) = &args.bench_json {
-        let scales: Vec<Scale> = if args.scale_overridden {
-            vec![args.scale]
-        } else {
-            vec![Scale::Quick, Scale::Default]
-        };
-        eprintln!(
-            "timing seed vs fused pipeline at {} scale(s) …",
-            scales.len()
-        );
-        let report = langcrux_bench::perf::pipeline_bench_report(args.seed, &scales);
-        for t in &report.timings {
-            eprintln!(
-                "  {:<10} {:>6} sites/country: baseline {:>9.1} ms, fused {:>9.1} ms — {:.2}×",
-                t.scale, t.sites_per_country, t.baseline_ms, t.fused_ms, t.speedup
-            );
-        }
-        let s = &report.stream_vs_dom;
-        eprintln!(
-            "  per-visit extract ({} pages): dom {:.1} µs, streaming {:.1} µs — {:.2}×",
-            s.pages, s.dom_us_per_page, s.stream_us_per_page, s.speedup
-        );
-        let r = &report.render;
-        eprintln!(
-            "  per-page render ({} pages): pre-arena {:.1} µs, pooled {:.1} µs — {:.2}×",
-            r.pages, r.baseline_us_per_page, r.render_us_per_page, r.speedup
-        );
-        langcrux_bench::perf::write_bench_json(path, &report).expect("write bench json");
-        eprintln!("wrote {path}");
-    }
-    // Bench flags and the daemon stand in for the implicit `all` run, but
-    // explicitly named artifacts alongside them are still produced (no
+    // The serve bench and the daemon stand in for the implicit `all` run,
+    // but explicitly named artifacts alongside them are still produced (no
     // silent drop) — and an artifact-less daemon starts without a build.
-    if (args.serve_bench.is_some() || args.bench_json.is_some() || args.serve_daemon.is_some())
-        && !args.explicit_artifacts
-    {
+    if (args.serve_bench.is_some() || args.serve_daemon.is_some()) && !args.explicit_artifacts {
         if let Some(path) = &args.serve_daemon {
             run_serve_daemon(path, args.port, args.serve_core, None);
         }

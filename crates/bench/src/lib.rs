@@ -1,47 +1,22 @@
 //! # langcrux-bench
 //!
-//! The reproduction harness: shared workload builders used by the `repro`
-//! binary (which prints every table and figure of the paper) and by the
-//! Criterion benches (one per artefact plus component microbenches and the
-//! three ablations from DESIGN.md).
+//! The reproduction harness: the workload builders behind the `repro`
+//! binary, which prints every table and figure of the paper and runs
+//! the ablations, the audit daemon and the distributed build's worker
+//! processes.
 //!
-//! ## Performance tracking
+//! * [`dist`] spawns and drives the worker processes of `repro --dist`.
+//! * [`serve_bench`] writes the `BENCH_serve.json` record behind
+//!   `repro --serve-bench`, and builds the page set `repro --loadgen`
+//!   sends.
 //!
-//! * [`baseline`] preserves the seed implementation's hot path (per-country
-//!   threads, visible-text re-scans, `Vec`-probed histogram, per-site
-//!   Kizuki construction) as the before side of every perf comparison.
-//! * [`perf`] times the seed baseline against the fused single-pass engine
-//!   and emits the machine-readable record `BENCH_pipeline.json`:
-//!
-//!   ```text
-//!   cargo run --release -p langcrux-bench --bin repro -- --bench-json
-//!   ```
-//!
-//!   writes `BENCH_pipeline.json` with before/after wall-clock at
-//!   `Scale::Quick` and `Scale::Default` (pass `--sites N`/`--quick`/
-//!   `--full` to time a single chosen scale, and an optional path argument
-//!   after `--bench-json` to redirect the output). Numbers depend on the
-//!   host; the JSON records `available_cores` so the fusion share and the
-//!   work-stealing parallel share can be told apart.
-//! * `cargo bench -p langcrux-bench --bench pipeline_hot_path` runs the
-//!   per-layer before/after microbenches (fused extraction vs re-scan,
-//!   streaming tokenize→extract vs DOM materialisation per visit
-//!   (`stream_vs_dom`), table lookups, composition from the carried
-//!   histogram, and the end-to-end pipeline pair).
-//!
-//! Every field of both JSON artefacts, and how CI's relative gates map
-//! to the committed 1-core reference numbers, is documented in
-//! `docs/benchmarks.md`.
+//! Build timings come from `perfbench/` (see `docs/benchmarks.md`).
 
-pub mod baseline;
 pub mod dist;
-pub mod perf;
-pub mod render_seed;
 pub mod serve_bench;
 
 use langcrux_core::{build_dataset_with_ledger, CrawlLedger, Dataset, PipelineOptions};
 use langcrux_crawl::BrowserConfig;
-use langcrux_lang::rng::DEFAULT_SEED;
 use langcrux_lang::{Country, Language};
 use langcrux_langid::{detect, TrigramDetector};
 use langcrux_net::{vpn_vantage, ContentVariant, FaultPlan, Request, Url, Vantage};
@@ -74,17 +49,13 @@ impl Scale {
 
 /// Build the corpus at a given scale (the workspace-default fault plan).
 pub fn build_corpus(seed: u64, scale: Scale) -> Corpus {
-    build_corpus_with_plan(seed, scale, FaultPlan::default())
+    build_corpus_with_gaps(seed, scale, FaultPlan::default(), false)
 }
 
-/// Build the corpus at a given scale under an explicit fault plan.
-pub fn build_corpus_with_plan(seed: u64, scale: Scale, plan: FaultPlan) -> Corpus {
-    build_corpus_with_gaps(seed, scale, plan, false)
-}
-
-/// [`build_corpus_with_plan`] with the translation-gap scenarios toggled
-/// explicitly (what `repro --gap-scenarios` builds). With `gaps` off the
-/// corpus is byte-identical to the historical one.
+/// Build the corpus at a given scale under an explicit fault plan, with
+/// the translation-gap scenarios toggled explicitly (what `repro
+/// --gap-scenarios` builds). With `gaps` off the corpus is byte-identical
+/// to the historical one.
 pub fn build_corpus_with_gaps(seed: u64, scale: Scale, plan: FaultPlan, gaps: bool) -> Corpus {
     Corpus::build(CorpusConfig {
         seed,
@@ -105,18 +76,6 @@ pub fn fault_plan_preset(name: &str) -> Option<FaultPlan> {
         "hostile" => Some(FaultPlan::HOSTILE),
         _ => None,
     }
-}
-
-/// Build the full dataset (corpus + pipeline) at a given scale.
-pub fn build_scaled_dataset(seed: u64, scale: Scale) -> Dataset {
-    build_scaled_dataset_with_corpus(seed, scale).1
-}
-
-/// [`build_scaled_dataset`], also handing back the corpus so callers can
-/// inspect its lazy-shard gauges (`Corpus::shard_stats`) after the run.
-pub fn build_scaled_dataset_with_corpus(seed: u64, scale: Scale) -> (Corpus, Dataset) {
-    let (corpus, dataset, _) = build_scaled_dataset_with_plan(seed, scale, FaultPlan::default());
-    (corpus, dataset)
 }
 
 /// Build corpus + dataset under an explicit fault plan, returning the
@@ -148,11 +107,6 @@ pub fn build_scaled_dataset_with_gaps(
         },
     );
     (corpus, dataset, ledger)
-}
-
-/// Build with the workspace default seed.
-pub fn default_dataset(scale: Scale) -> Dataset {
-    build_scaled_dataset(DEFAULT_SEED, scale)
 }
 
 /// A1 — the VPN-vantage ablation: crawl the same hosts from the in-country
@@ -290,8 +244,7 @@ pub fn speech_experience(seed: u64, sites_per_country: usize) -> Vec<SpeechExper
 }
 
 /// A3 — crawl worker scaling: wall-clock for crawling a fixed host list
-/// with different worker counts (used by the Criterion ablation bench and
-/// printable from `repro`).
+/// with different worker counts (`repro ablation-crawl`).
 pub fn crawl_scaling(seed: u64, hosts_per_country: usize, threads: usize) -> std::time::Duration {
     use langcrux_crawl::{crawl_hosts, CrawlConfig};
     let corpus = build_corpus(seed, Scale::Sites(hosts_per_country));

@@ -3,66 +3,21 @@
 //! `filter::classify` reads a text in one pass with its case fold in a
 //! stack buffer, so it allocates nothing; a page's `PageAnalysis`
 //! allocates exactly the one exact-size element list it owns. A counting
-//! global allocator checks both over the element texts of a fixed set of
-//! generated pages. Counts are per thread, so other test threads do not
-//! disturb them, and they are the same in debug and release builds.
+//! global allocator (`common`) checks both over the element texts of a
+//! fixed set of generated pages. Counts are per thread, so other test
+//! threads do not disturb them, and they are the same in debug and
+//! release builds.
 
+mod common;
+
+use common::counted;
 use langcrux::crawl::extract_streaming;
 use langcrux::filter::classify;
 use langcrux::kizuki::PageAnalysis;
 use langcrux::lang::{rng::DEFAULT_SEED, Country};
 use langcrux::net::ContentVariant;
 use langcrux::webgen::{render, SitePlan};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 use std::hint::black_box;
-
-/// Counts the calls that obtain memory (alloc, alloc_zeroed, realloc),
-/// per thread.
-struct CountingAlloc;
-
-thread_local! {
-    static CALLS: Cell<u64> = const { Cell::new(0) };
-}
-
-fn note() {
-    // `try_with`: const-initialised cells without destructors are always
-    // accessible, but an allocation during thread teardown must not panic.
-    let _ = CALLS.try_with(|c| c.set(c.get() + 1));
-}
-
-// SAFETY: every method forwards to `System` with the caller's arguments
-// unchanged; the counters are thread-local `Cell`s that never allocate.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        note();
-        System.alloc(layout)
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        note();
-        System.alloc_zeroed(layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        note();
-        System.realloc(ptr, layout, new_size)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-}
-
-#[global_allocator]
-static ALLOC: CountingAlloc = CountingAlloc;
-
-/// Run `f` and count the allocations it made on this thread.
-fn counted<R>(f: impl FnOnce() -> R) -> (R, u64) {
-    let before = CALLS.with(Cell::get);
-    let out = f();
-    (out, CALLS.with(Cell::get) - before)
-}
 
 /// 64 localized home pages with translation-gap scenarios off and the
 /// same 64 sites with them on, spread over the study countries, each with

@@ -6,68 +6,22 @@
 //! Everything else lives in per-thread scratch that the first pass over
 //! the pages warms up (see `langcrux_html::scratch`).
 //!
-//! A counting global allocator checks both claims over a fixed set of
-//! generated pages. Counts are per thread, so other test threads do not
-//! disturb them. The total is pinned: a new allocation anywhere on the
-//! path, or a page-set change, moves it. The counts are the same in
-//! debug and release builds.
+//! A counting global allocator (`common`) checks both claims over a
+//! fixed set of generated pages. Counts are per thread, so other test
+//! threads do not disturb them. The total is pinned: a new allocation
+//! anywhere on the path, or a page-set change, moves it. The counts are
+//! the same in debug and release builds.
 
+mod common;
+
+use common::counted;
 use langcrux_crawl::{extract_streaming, PageExtract};
 use langcrux_html::scratch::CAP_BYTES;
 use langcrux_html::tokenizer::{tokenize_into, Attribute, TokenSink};
 use langcrux_lang::{rng::DEFAULT_SEED, Country};
 use langcrux_net::ContentVariant;
 use langcrux_webgen::{render, SitePlan};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 use std::hint::black_box;
-
-/// Counts the calls that obtain memory (alloc, alloc_zeroed, realloc),
-/// per thread.
-struct CountingAlloc;
-
-thread_local! {
-    static CALLS: Cell<u64> = const { Cell::new(0) };
-}
-
-fn note() {
-    // `try_with`: const-initialised cells without destructors are always
-    // accessible, but an allocation during thread teardown must not panic.
-    let _ = CALLS.try_with(|c| c.set(c.get() + 1));
-}
-
-// SAFETY: every method forwards to `System` with the caller's arguments
-// unchanged; the counters are thread-local `Cell`s that never allocate.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        note();
-        System.alloc(layout)
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        note();
-        System.alloc_zeroed(layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        note();
-        System.realloc(ptr, layout, new_size)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-}
-
-#[global_allocator]
-static ALLOC: CountingAlloc = CountingAlloc;
-
-/// Run `f` and count the allocations it made on this thread.
-fn counted<R>(f: impl FnOnce() -> R) -> (R, u64) {
-    let before = CALLS.with(Cell::get);
-    let out = f();
-    (out, CALLS.with(Cell::get) - before)
-}
 
 /// Allocations of the second pass over [`pages`], all of them returned.
 const PINNED_PASS_ALLOCS: u64 = 17_372;

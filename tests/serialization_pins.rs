@@ -1,4 +1,4 @@
-//! Byte pins for the JSON the project publishes.
+//! Byte pins for the JSON the project publishes and the pages it renders.
 //!
 //! The dataset, the crawl ledger and the `/v1/audit` response are the
 //! release formats, so their bytes are a contract: key order, optional
@@ -7,13 +7,23 @@
 //! compares its length and FNV-1a digest with values captured from the
 //! serializer the contract was written against. A serializer change that
 //! moves a single byte fails here.
+//!
+//! The generated pages and their ground truth are pinned the same way,
+//! over the render sweep, and so are datasets of two default-plan
+//! corpora; both pins were captured while the build still matched the
+//! original seed pipeline and pre-arena renderer byte for byte.
 
-use langcrux::core::{build_dataset_with_ledger, CrawlLedger, Dataset, PipelineOptions};
+mod render_sweep;
+
+use langcrux::core::{
+    build_dataset, build_dataset_with_ledger, CrawlLedger, Dataset, PipelineOptions,
+};
 use langcrux::lang::rng::DEFAULT_SEED;
 use langcrux::lang::Country;
 use langcrux::net::{ContentVariant, FaultPlan};
 use langcrux::serve::AuditService;
-use langcrux::webgen::{render, Corpus, CorpusConfig, SitePlan};
+use langcrux::webgen::{render, render_into, Corpus, CorpusConfig, RenderScratch, SitePlan};
+use langcrux_bench::{build_corpus, Scale};
 
 /// Sites per country for both build pins (a `CorpusConfig::small` corpus).
 const SITES: usize = 15;
@@ -63,6 +73,24 @@ fn build(fault_plan: FaultPlan, gap_scenarios: bool) -> (String, String) {
 fn reliable_build_bytes_are_pinned() {
     let (dataset, ledger) = build(FaultPlan::RELIABLE, false);
     assert!(!dataset.contains("\"gaps\""), "gap field in a gaps-off run");
+    // Restricted and geo-block walls are vantage behaviour and fire even
+    // under RELIABLE; only the injected transient classes must be silent
+    // when every fault chance is zero.
+    let errors = CrawlLedger::from_json(&ledger)
+        .expect("ledger parses")
+        .totals
+        .errors;
+    assert_eq!(
+        [
+            errors.timeouts,
+            errors.resets,
+            errors.server_errors,
+            errors.deadline_exceeded,
+            errors.circuit_open,
+        ],
+        [0; 5],
+        "RELIABLE run had injected-fault errors: {errors:?}"
+    );
     assert_eq!(
         Pin::of(dataset.as_bytes()),
         Pin {
@@ -136,5 +164,85 @@ fn audit_response_bytes_are_pinned() {
             fnv1a: 0x1a98_7df6_4243_0545,
         },
         "audit response bytes moved"
+    );
+}
+
+#[test]
+fn default_plan_dataset_bytes_are_pinned() {
+    for (seed, sites, pin) in [
+        (
+            31,
+            8,
+            Pin {
+                len: 704_824,
+                fnv1a: 0xbab9_3ac0_b9eb_1fdf,
+            },
+        ),
+        (
+            41,
+            6,
+            Pin {
+                len: 553_137,
+                fnv1a: 0x4778_78ef_a09e_7f3f,
+            },
+        ),
+    ] {
+        let corpus = build_corpus(seed, Scale::Sites(sites));
+        let dataset = build_dataset(
+            &corpus,
+            PipelineOptions {
+                quota: sites,
+                ..PipelineOptions::default()
+            },
+        );
+        let json = dataset.to_json().expect("dataset serializes");
+        assert_eq!(
+            Pin::of(json.as_bytes()),
+            pin,
+            "seed {seed}, {sites} sites per country: dataset bytes moved"
+        );
+    }
+}
+
+#[test]
+fn render_sweep_bytes_are_pinned() {
+    let mut scratch = RenderScratch::new();
+    let mut pooled = String::new();
+    let mut html = Vec::new();
+    let mut truth = Vec::new();
+    for (plan, variant) in render_sweep::pages() {
+        let host = &plan.host;
+        let (page, page_truth) = render(&plan, variant, "/");
+        // One long-lived arena renders what a fresh one does: no state
+        // carries over from the pages before.
+        pooled.clear();
+        let pooled_truth = render_into(&plan, variant, "/", &mut scratch, &mut pooled);
+        assert_eq!(pooled, page, "{host} {variant:?}: pooled HTML differs");
+        assert_eq!(
+            pooled_truth, page_truth,
+            "{host} {variant:?}: pooled truth differs"
+        );
+        html.extend_from_slice(page.as_bytes());
+        truth.extend_from_slice(
+            serde_json::to_string(&page_truth)
+                .expect("truth serializes")
+                .as_bytes(),
+        );
+    }
+    assert_eq!(
+        Pin::of(&html),
+        Pin {
+            len: 1_730_319,
+            fnv1a: 0xc6be_0df5_a6a3_993b,
+        },
+        "rendered HTML bytes moved"
+    );
+    assert_eq!(
+        Pin::of(&truth),
+        Pin {
+            len: 376_806,
+            fnv1a: 0x9e48_0ce0_9ccc_a3b1,
+        },
+        "page truth bytes moved"
     );
 }
