@@ -2,8 +2,9 @@
 //!
 //! Every function consumes the measured [`Dataset`] (never the generator's
 //! calibration tables) and produces a plain data structure that the
-//! `render` module formats and the `repro` binary prints. The experiment
-//! ids match DESIGN.md's index (T2 = Table 2, F5 = Figure 5, …).
+//! `render` module formats and the `repro` binary prints. Doc comments
+//! name the paper artefact each function reproduces (T2 = Table 2,
+//! F5 = Figure 5, …).
 
 use crate::dataset::{Dataset, SiteRecord, TextState};
 use crate::stats::{Cdf, CountGrid, Histogram, Summary};

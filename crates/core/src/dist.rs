@@ -1,37 +1,40 @@
-//! The fault-tolerant distributed build: coordinator, work units,
-//! checkpoint log, and the deterministic replay that makes an N-process
-//! build byte-identical to the single-process pipeline.
+//! The build engine: wave planning, the one unit execution, and the
+//! deterministic replay — plus the fault-tolerant dispatcher that runs
+//! the engine's units on worker processes.
 //!
-//! ## Shape
+//! ## One engine
 //!
-//! The coordinator plans the same probe waves as [`crate::pipeline`] —
-//! per-country windows of `need + need/7 + 8` candidates, chunked into
-//! `(country, candidate-range)` **work units** — but instead of handing
-//! units to an in-process thread pool it dispatches them to workers
-//! through a [`UnitExecutor`]. A worker executes a unit by probing every
-//! candidate in its range *and*, for each qualifying candidate, running
-//! the full per-site analysis, shipping back one serializable
-//! [`WireVerdict`] per candidate. The coordinator then replays the
-//! paper's sequential replacement walk over the concatenated verdicts —
-//! the exact loop the single-process pipeline runs — so `Dataset` and
-//! `CrawlLedger` bytes are independent of worker count, scheduling, and
-//! failure timing.
+//! [`build_dataset_with_ledger`](crate::pipeline::build_dataset_with_ledger)
+//! and [`build_dataset_distributed`] are one loop with two runners. The
+//! engine plans each **probe wave** — for every country still short of
+//! quota, a window of `need + need/7 + 8` candidates past its probed
+//! prefix, chunked into `(country, candidate-range)` **work units** —
+//! hands the wave's units to its runner, folds the results in plan order,
+//! and, once no country needs more, replays the paper's sequential
+//! replacement walk over the verdicts to assemble the `Dataset` and
+//! `CrawlLedger`. The in-process runner is the crawl crate's work-stealing
+//! pool with one `Browser` per worker; the distributed runner dispatches
+//! units to workers through a [`UnitExecutor`]. Every runner executes a
+//! unit the same way: probe each candidate in the range and analyse each
+//! qualifying one, yielding one [`WireVerdict`] per candidate.
 //!
 //! ## Why the bytes cannot drift
 //!
-//! * **Probe purity** (the PR 1 contract): a candidate's verdict is a
-//!   pure function of `(corpus seed, host, vantage)`. Workers rebuild
-//!   their corpus shards from [`WireBuildConfig`]; shard contents are
-//!   pure in `(seed, country)`, so every worker — and every *retry* of a
-//!   killed unit — computes the identical verdict list.
-//! * **Wave congruence**: window extents depend only on quota and
-//!   qualified counts, never on chunking, so the coordinator probes the
-//!   same candidate prefix as the in-process pipeline at every worker
-//!   count.
-//! * **Replay**: selection, ledger folding, and example caps run in the
-//!   same sequential order over the same verdicts, through the same
-//!   accumulators ([`CountryLedger::record_probe_outcome`],
-//!   [`tally_outcome`]).
+//! * **Probe purity**: a candidate's verdict is a pure function of
+//!   `(corpus seed, host, vantage)`. Workers rebuild their corpus shards
+//!   from [`WireBuildConfig`]; shard contents are pure in
+//!   `(seed, country)`, so every runner — and every *retry* of a killed
+//!   unit — computes the identical verdict list.
+//! * **Wave determinism**: window extents depend only on quota and
+//!   qualified counts, never on chunking, so every runner probes the same
+//!   candidate prefix at every worker count.
+//! * **One replay**: selection, ledger folding and example caps happen in
+//!   one sequential walk over the concatenated verdicts. There is no
+//!   second copy to keep equal.
+//! * **Per-site panic containment**: each analysis runs under its own
+//!   unwind guard, so a panicking site becomes a
+//!   [`WireOutcome::Poisoned`] verdict on every runner — one
+//!   `poisoned_sites` entry if the walk consumes it — never a failed unit.
 //!
 //! ## Fault tolerance
 //!
@@ -46,10 +49,10 @@
 //! replay truncates at the hole (quota shortfall, not an abort) and the
 //! loss is recorded in the ledger's `degraded_units` section.
 
-use crate::dataset::{Dataset, ExtremeExample, MismatchExample, SiteRecord};
+use crate::dataset::{CountryCrawlSummary, Dataset, ExtremeExample, MismatchExample, SiteRecord};
 use crate::ledger::{CountryLedger, CrawlLedger, DegradedUnit};
-use crate::pipeline::{chunk_ranges, probe_window, process_site, to_summary};
-use crate::selection::{probe_candidate_traced, tally_outcome, Rejection, SelectionStats};
+use crate::pipeline::process_site;
+use crate::selection::{probe_candidate_traced, Rejection, SelectedSite};
 use langcrux_crawl::{Browser, BrowserConfig, VisitTrace};
 use langcrux_kizuki::{Kizuki, ScreenReader};
 use langcrux_lang::{rng, Country};
@@ -61,6 +64,8 @@ use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::collections::VecDeque;
 use std::io::{BufRead, BufReader, Write};
+use std::ops::Range;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -151,9 +156,9 @@ impl UnitRequest {
     }
 }
 
-/// One candidate's verdict as computed by a worker. `Selected` carries
-/// the *finished* site record (plus uncapped example captures) so the
-/// coordinator never fetches or analyses anything itself.
+/// One candidate's verdict as a unit execution computed it. `Selected`
+/// carries the *finished* site record (plus uncapped example captures),
+/// so the replay never fetches or analyses anything itself.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum WireOutcome {
     Selected {
@@ -161,11 +166,16 @@ pub enum WireOutcome {
         extremes: Vec<ExtremeExample>,
         mismatches: Vec<MismatchExample>,
     },
+    /// The candidate qualified, but its analysis panicked. It counts as
+    /// selected; the replay lists its host in `poisoned_sites` if the
+    /// walk consumes it.
+    Poisoned {
+        host: String,
+    },
     Rejected(Rejection),
 }
 
-/// One probed candidate on the wire: verdict plus its visit trace, the
-/// same pair the in-process pipeline replays.
+/// One probed candidate on the wire: verdict plus its visit trace.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct WireVerdict {
     pub outcome: WireOutcome,
@@ -173,67 +183,318 @@ pub struct WireVerdict {
 }
 
 impl WireVerdict {
-    fn is_selected(&self) -> bool {
-        matches!(self.outcome, WireOutcome::Selected { .. })
-    }
-
-    /// The site-free verdict the shared ledger/stats accumulators fold.
-    fn outcome_ref(&self) -> Result<(), &Rejection> {
+    /// The site-free verdict the ledger folds: every qualifying
+    /// candidate, poisoned or not, is a selection.
+    fn verdict(&self) -> Result<(), &Rejection> {
         match &self.outcome {
-            WireOutcome::Selected { .. } => Ok(()),
             WireOutcome::Rejected(r) => Err(r),
+            WireOutcome::Selected { .. } | WireOutcome::Poisoned { .. } => Ok(()),
         }
     }
 }
 
-/// Execute one work unit against a corpus: probe every candidate in the
-/// range and fully analyse each qualifying one. This is the worker-side
-/// entry point — `repro --dist-worker` calls it behind the RPC endpoint,
-/// and [`LocalExecutor`] calls it in-process for tests.
-pub fn execute_unit(
+// ---------------------------------------------------------------------
+// Unit execution
+// ---------------------------------------------------------------------
+
+/// Execute one work unit: probe candidates `range` of `country` in rank
+/// order and analyse each qualifying one. Every runner calls this — the
+/// in-process pool, [`LocalExecutor`] and the `repro --dist-worker` RPC
+/// ([`WorkerState`]).
+///
+/// Each analysis runs under its own unwind guard, so a panic poisons
+/// that site alone. `panic_host` is the chaos hook of
+/// [`PipelineOptions::chaos_panic_host`](crate::PipelineOptions::chaos_panic_host).
+pub(crate) fn execute_unit(
     corpus: &Corpus,
-    browser_config: BrowserConfig,
+    browser: &mut Browser,
     country: Country,
-    start: usize,
-    end: usize,
+    range: Range<usize>,
+    panic_host: Option<fn(&str) -> bool>,
 ) -> Vec<WireVerdict> {
-    let mut span = obs::trace::span("dist.unit", obs::trace::key_str(country.code()));
     let vantage = vpn_vantage(country).unwrap_or_else(|| panic!("no VPN endpoint for {country:?}"));
     let native = country.target_language();
     let kizuki = Kizuki::standard();
-    let reader = ScreenReader::voiceover_like();
-    let gaps_enabled = corpus.config().gap_scenarios;
-    let mut browser = Browser::new(corpus.internet(), browser_config);
-    let mut verdicts = Vec::with_capacity(end - start);
-    let mut virtual_ms = 0u64;
-    for plan in corpus.candidates(country)[start..end].iter() {
-        let (outcome, trace) = probe_candidate_traced(&mut browser, plan, vantage, native);
-        virtual_ms += trace.virtual_ms;
-        let outcome = match outcome {
-            Ok(site) => {
-                let mut extremes = Vec::new();
-                let mut mismatches = Vec::new();
-                let gap_reader = gaps_enabled.then_some(&reader);
-                let record = process_site(
-                    &site,
-                    country,
-                    &kizuki,
-                    gap_reader,
-                    &mut extremes,
-                    &mut mismatches,
-                );
+    // Gap detection runs only on corpora built with gap scenarios; the
+    // reference reader decides which flagged regions it would mispronounce.
+    let reader = corpus
+        .config()
+        .gap_scenarios
+        .then(ScreenReader::voiceover_like);
+    corpus.candidates(country)[range]
+        .iter()
+        .map(|plan| {
+            let (outcome, trace) = probe_candidate_traced(browser, plan, vantage, native);
+            let outcome = match outcome {
+                Ok(site) => analyse(&site, country, &kizuki, reader.as_ref(), panic_host),
+                Err(rejection) => WireOutcome::Rejected(rejection),
+            };
+            WireVerdict { outcome, trace }
+        })
+        .collect()
+}
+
+/// Analyse one qualifying candidate under the unwind guard. Examples land
+/// in per-site vectors, so a poisoned site leaks no partial capture.
+fn analyse(
+    site: &SelectedSite,
+    country: Country,
+    kizuki: &Kizuki,
+    reader: Option<&ScreenReader>,
+    panic_host: Option<fn(&str) -> bool>,
+) -> WireOutcome {
+    let host = &site.plan.host;
+    // A panic unwinds through the guard, so even a poisoned site records
+    // its span.
+    let _span = obs::trace::span("pipeline.analyze_site", obs::trace::key_str(host));
+    catch_unwind(AssertUnwindSafe(|| {
+        if panic_host.is_some_and(|hits| hits(host)) {
+            panic!("chaos hook: injected analysis panic");
+        }
+        let mut extremes = Vec::new();
+        let mut mismatches = Vec::new();
+        let record = process_site(
+            site,
+            country,
+            kizuki,
+            reader,
+            &mut extremes,
+            &mut mismatches,
+        );
+        WireOutcome::Selected {
+            record,
+            extremes,
+            mismatches,
+        }
+    }))
+    .unwrap_or_else(|_| WireOutcome::Poisoned { host: host.clone() })
+}
+
+/// Execute a dispatched unit on a fresh browser, under a `dist.unit`
+/// span. (The pool runs units without one: its chunking, and so its unit
+/// count, depends on the worker count.)
+fn execute_request(
+    corpus: &Corpus,
+    request: &UnitRequest,
+    panic_host: Option<fn(&str) -> bool>,
+) -> Vec<WireVerdict> {
+    let mut span = obs::trace::span("dist.unit", obs::trace::key_str(request.country.code()));
+    let mut browser = Browser::new(corpus.internet(), request.config.browser);
+    let range = request.start..request.end;
+    let verdicts = execute_unit(corpus, &mut browser, request.country, range, panic_host);
+    span.set_virtual_ms(verdicts.iter().map(|v| v.trace.virtual_ms).sum());
+    verdicts
+}
+
+// ---------------------------------------------------------------------
+// The engine
+// ---------------------------------------------------------------------
+
+/// One planned work unit: candidates `range` of `country`, in rank order.
+pub(crate) struct Unit {
+    /// The country's index in the engine's per-country state.
+    slot: usize,
+    pub(crate) country: Country,
+    pub(crate) range: Range<usize>,
+}
+
+/// What a runner reports for one planned unit.
+pub(crate) enum UnitResolution {
+    /// One verdict per candidate of the unit's range.
+    Done(Vec<WireVerdict>),
+    /// Given up after this many dispatch attempts.
+    Lost(u32),
+}
+
+/// Per-country engine state across waves.
+struct CountryState {
+    country: Country,
+    /// Concatenated unit verdicts for the candidate prefix `0..probed`
+    /// (frozen at the first hole once `lost`).
+    verdicts: Vec<WireVerdict>,
+    qualified: usize,
+    probed: usize,
+    /// The first unit of this country that was lost, if any.
+    lost: Option<DegradedUnit>,
+}
+
+/// Build a dataset and its ledger: plan each probe wave, run its units
+/// through `run_wave` (which answers one resolution per unit, in plan
+/// order), fold them, and replay the selection walk once no country needs
+/// more candidates. `workers` only sizes the chunks. A runner error stops
+/// the build.
+pub(crate) fn run_build<E>(
+    corpus: &Corpus,
+    quota: usize,
+    max_extremes: usize,
+    max_mismatches: usize,
+    workers: usize,
+    mut run_wave: impl FnMut(&[Unit]) -> Result<Vec<UnitResolution>, E>,
+) -> Result<(Dataset, CrawlLedger), E> {
+    let _build_span = obs::trace::span("pipeline.build", corpus.config().seed);
+    let mut states: Vec<CountryState> = corpus
+        .countries()
+        .map(|country| CountryState {
+            country,
+            verdicts: Vec::new(),
+            qualified: 0,
+            probed: 0,
+            lost: None,
+        })
+        .collect();
+    for wave in 0u64.. {
+        let units = plan_wave(corpus, &states, quota, workers);
+        if units.is_empty() {
+            break;
+        }
+        // Wave count and ordinal are quota-driven, not worker-driven, so
+        // the span structure is stable across worker counts.
+        let _wave_span = obs::trace::span("pipeline.probe_wave", wave);
+        let resolutions = run_wave(&units)?;
+        // Fold in plan order. A lost unit opens a hole that freezes its
+        // country's verdict prefix: a shortfall, not an abort.
+        for (unit, resolution) in units.iter().zip(resolutions) {
+            let st = &mut states[unit.slot];
+            st.probed = unit.range.end;
+            if st.lost.is_some() {
+                continue;
+            }
+            match resolution {
+                UnitResolution::Done(verdicts) => {
+                    st.qualified += verdicts.iter().filter(|v| v.verdict().is_ok()).count();
+                    st.verdicts.extend(verdicts);
+                }
+                UnitResolution::Lost(attempts) => {
+                    st.lost = Some(DegradedUnit {
+                        country_code: unit.country.code().to_string(),
+                        start: unit.range.start as u64,
+                        end: unit.range.end as u64,
+                        attempts,
+                    });
+                }
+            }
+        }
+    }
+    Ok(replay(corpus, quota, max_extremes, max_mismatches, states))
+}
+
+/// Plan the next wave. Each country still short of quota extends its
+/// probed prefix far enough to plausibly fill the remainder (the paper's
+/// ~12% disqualification rate plus slack, so small quotas converge in one
+/// wave); countries with enough qualifying verdicts, no candidates left or
+/// a lost unit contribute nothing. An empty plan ends probing.
+fn plan_wave(corpus: &Corpus, states: &[CountryState], quota: usize, workers: usize) -> Vec<Unit> {
+    let mut windows = Vec::new();
+    for (slot, st) in states.iter().enumerate() {
+        if st.lost.is_some() || st.qualified >= quota {
+            continue;
+        }
+        let candidates = corpus.candidates(st.country).len();
+        if st.probed >= candidates {
+            continue;
+        }
+        let need = quota - st.qualified;
+        let window = (need + need / 7 + 8).min(candidates - st.probed);
+        windows.push((slot, st.probed..st.probed + window));
+    }
+    // Chunk the windows so every worker gets several units to steal.
+    let total: usize = windows.iter().map(|(_, w)| w.len()).sum();
+    let chunk = (total / (workers * 4).max(1)).clamp(4, 64);
+    let mut units = Vec::new();
+    for (slot, window) in windows {
+        for start in window.clone().step_by(chunk) {
+            units.push(Unit {
+                slot,
+                country: states[slot].country,
+                range: start..(start + chunk).min(window.end),
+            });
+        }
+    }
+    units
+}
+
+/// Replay the paper's sequential replacement walk over each country's
+/// verdicts, in study order, and assemble the dataset and ledger. Records
+/// and examples move out of the verdicts; the example caps keep the first
+/// N in walk order.
+fn replay(
+    corpus: &Corpus,
+    quota: usize,
+    max_extremes: usize,
+    max_mismatches: usize,
+    mut states: Vec<CountryState>,
+) -> (Dataset, CrawlLedger) {
+    states.sort_by_key(|st| Country::STUDY.iter().position(|&c| c == st.country));
+    let mut dataset = Dataset {
+        seed: corpus.config().seed,
+        quota,
+        ..Dataset::default()
+    };
+    let mut ledgers = Vec::with_capacity(states.len());
+    let mut degraded_units = Vec::new();
+    for st in states {
+        let mut span = obs::trace::span(
+            "pipeline.verdict_replay",
+            obs::trace::key_str(st.country.code()),
+        );
+        let mut ledger = CountryLedger::new(st.country.code());
+        let mut error_run = 0u64;
+        for verdict in st.verdicts {
+            if ledger.selected as usize >= quota {
+                break;
+            }
+            ledger.record_probe_outcome(verdict.verdict(), &verdict.trace);
+            match verdict.outcome {
+                WireOutcome::Rejected(_) => {
+                    error_run += 1;
+                    continue;
+                }
                 WireOutcome::Selected {
                     record,
                     extremes,
                     mismatches,
+                } => {
+                    if let Some(gaps) = &record.gaps {
+                        ledger.gap_pages += 1;
+                        ledger.gap_regions += u64::from(gaps.regions);
+                    }
+                    dataset.records.push(record);
+                    let room = max_extremes.saturating_sub(dataset.extreme_examples.len());
+                    dataset
+                        .extreme_examples
+                        .extend(extremes.into_iter().take(room));
+                    let room = max_mismatches.saturating_sub(dataset.mismatch_examples.len());
+                    dataset
+                        .mismatch_examples
+                        .extend(mismatches.into_iter().take(room));
                 }
+                WireOutcome::Poisoned { host } => ledger.poisoned_sites.push(host),
             }
-            Err(rejection) => WireOutcome::Rejected(rejection),
-        };
-        verdicts.push(WireVerdict { outcome, trace });
+            ledger.note_replacement_run(error_run);
+            error_run = 0;
+        }
+        ledger.note_replacement_run(error_run);
+        span.set_virtual_ms(ledger.virtual_ms);
+        // The ledger buckets every fetch rejection in exactly one
+        // taxonomy class, so its totals are the summary's counts.
+        dataset.crawl_summaries.push(CountryCrawlSummary {
+            country_code: ledger.country_code.clone(),
+            attempted: ledger.attempted,
+            selected: ledger.selected,
+            rejected_threshold: ledger.rejected_threshold,
+            failed_fetch: ledger.errors.total(),
+            restricted: ledger.errors.restricted,
+        });
+        ledgers.push(ledger);
+        degraded_units.extend(st.lost);
     }
-    span.set_virtual_ms(virtual_ms);
-    verdicts
+    let mut ledger = CrawlLedger::new(
+        corpus.config().seed,
+        *corpus.internet().fault_plan(),
+        ledgers,
+    );
+    ledger.degraded_units = degraded_units;
+    (dataset, ledger)
 }
 
 /// Why one dispatch of a unit failed.
@@ -279,8 +540,8 @@ pub trait UnitExecutor: Sync {
 
 /// In-process executor: runs units against its own corpus (rebuilt from
 /// the wire config, exactly as a worker process would) with an
-/// injectable failure schedule. The backbone of the kill-at-every-
-/// boundary test suite.
+/// injectable failure schedule. The dispatcher's test double and the
+/// backbone of the kill-at-every-boundary test suite.
 pub struct LocalExecutor {
     corpus: Corpus,
     /// Injected failure: `(unit key, attempt) -> fail?`. A failing
@@ -288,6 +549,11 @@ pub struct LocalExecutor {
     /// partial work is simply never observed.
     #[allow(clippy::type_complexity)]
     pub fail: Option<Arc<dyn Fn(&str, u32) -> bool + Send + Sync>>,
+    /// Chaos hook: panic inside the analysis of any site whose host this
+    /// predicate matches, as
+    /// [`PipelineOptions::chaos_panic_host`](crate::PipelineOptions::chaos_panic_host)
+    /// does for the in-process build.
+    pub panic_host: Option<fn(&str) -> bool>,
 }
 
 impl LocalExecutor {
@@ -298,6 +564,7 @@ impl LocalExecutor {
         LocalExecutor {
             corpus: config.build_corpus(),
             fail: None,
+            panic_host: None,
         }
     }
 
@@ -307,8 +574,8 @@ impl LocalExecutor {
         schedule: impl Fn(&str, u32) -> bool + Send + Sync + 'static,
     ) -> Self {
         LocalExecutor {
-            corpus: config.build_corpus(),
             fail: Some(Arc::new(schedule)),
+            ..LocalExecutor::new(config)
         }
     }
 }
@@ -325,13 +592,7 @@ impl UnitExecutor for LocalExecutor {
                 return Err(UnitError::WorkerDied("injected failure".to_string()));
             }
         }
-        Ok(execute_unit(
-            &self.corpus,
-            request.config.browser,
-            request.country,
-            request.start,
-            request.end,
-        ))
+        Ok(execute_request(&self.corpus, request, self.panic_host))
     }
 }
 
@@ -635,30 +896,12 @@ impl CheckpointLog {
 }
 
 // ---------------------------------------------------------------------
-// Coordinator
+// Dispatcher
 // ---------------------------------------------------------------------
 
-/// Per-country coordinator state across waves.
-struct CountryState {
-    country: Country,
-    /// Concatenated unit verdicts for the candidate prefix `0..probed`
-    /// (frozen at the first hole once `degraded`).
-    verdicts: Vec<WireVerdict>,
-    qualified: usize,
-    probed: usize,
-    degraded: bool,
-}
-
-/// Resolution of one planned unit after the wave's scheduler drains.
-enum UnitResolution {
-    Pending,
-    Done(Vec<WireVerdict>),
-    Lost,
-}
-
-/// Run the distributed build: plan waves, dispatch units through the
-/// executor with lease/retry/checkpoint handling, then replay and
-/// assemble the dataset + ledger.
+/// Run the build with the dispatcher as the engine's runner: each wave's
+/// units go to the executor with lease, retry, breaker and checkpoint
+/// handling.
 ///
 /// Returns `Err(DistHalted)` only under the
 /// [`DistOptions::halt_after_units`] crash simulation.
@@ -668,125 +911,31 @@ pub fn build_dataset_distributed<E: UnitExecutor + ?Sized>(
     options: &DistOptions,
 ) -> Result<DistBuild, DistHalted> {
     let workers = options.workers.max(1);
-    let _build_span = obs::trace::span("dist.build", corpus.config().seed);
     let config = WireBuildConfig::of(corpus, options.browser);
     let (log, completed) =
         CheckpointLog::open(options.checkpoint.as_deref(), &config, options.quota);
-    let checkpoint = Mutex::new(log);
-    let completed = Mutex::new(completed);
-
-    let mut states: Vec<CountryState> = corpus
-        .countries()
-        .map(|country| CountryState {
-            country,
-            verdicts: Vec::new(),
-            qualified: 0,
-            probed: 0,
-            degraded: false,
-        })
-        .collect();
-    let mut degraded_units: Vec<DegradedUnit> = Vec::new();
-    let mut stats = DistStats {
+    let mut dispatcher = Dispatcher {
+        executor,
+        options,
+        config,
         workers,
-        ..DistStats::default()
-    };
-    let executed_this_run = AtomicUsize::new(0);
-    let halted = AtomicBool::new(false);
-
-    let mut wave_ordinal = 0u64;
-    loop {
-        // ---- Plan the wave: same windows as the in-process pipeline.
-        let mut windows: Vec<(usize, std::ops::Range<usize>)> = Vec::new();
-        let mut total = 0usize;
-        for (ci, st) in states.iter().enumerate() {
-            if st.degraded || st.qualified >= options.quota {
-                continue;
-            }
-            let candidates = corpus.candidates(st.country).len();
-            if st.probed >= candidates {
-                continue;
-            }
-            let need = options.quota - st.qualified;
-            let window = probe_window(need).min(candidates - st.probed);
-            windows.push((ci, st.probed..st.probed + window));
-            total += window;
-        }
-        if windows.is_empty() {
-            break;
-        }
-        let _wave_span = obs::trace::span("dist.wave", wave_ordinal);
-        wave_ordinal += 1;
-        stats.waves += 1;
-        let chunk = (total / (workers * 4).max(1)).clamp(4, 64);
-        let mut units: Vec<(usize, UnitRequest)> = Vec::new();
-        for (ci, window) in windows {
-            for r in chunk_ranges(window.len(), chunk) {
-                units.push((
-                    ci,
-                    UnitRequest {
-                        config: config.clone(),
-                        country: states[ci].country,
-                        start: window.start + r.start,
-                        end: window.start + r.end,
-                        hold_ms: 0,
-                    },
-                ));
-            }
-        }
-        stats.units_planned += units.len() as u64;
-
-        // ---- Execute the wave.
-        let resolutions = run_wave(
-            executor,
-            &units,
-            options,
+        checkpoint: Mutex::new(log),
+        completed,
+        stats: DistStats {
             workers,
-            corpus.config().seed,
-            &checkpoint,
-            &completed,
-            &mut stats,
-            &executed_this_run,
-            &halted,
-        );
-
-        // ---- Fold unit results in plan order; a lost unit opens a hole
-        // that freezes the country's verdict prefix (graceful
-        // degradation: shortfall, not abort).
-        let mut saw_pending = false;
-        for ((ci, req), resolution) in units.iter().zip(resolutions) {
-            let st = &mut states[*ci];
-            match resolution {
-                UnitResolution::Done(vs) => {
-                    st.probed = req.end;
-                    if !st.degraded {
-                        st.qualified += vs.iter().filter(|v| v.is_selected()).count();
-                        st.verdicts.extend(vs);
-                    }
-                }
-                UnitResolution::Lost => {
-                    st.probed = req.end;
-                    if !st.degraded {
-                        st.degraded = true;
-                        stats.degraded_units += 1;
-                        degraded_units.push(DegradedUnit {
-                            country_code: req.country.code().to_string(),
-                            start: req.start as u64,
-                            end: req.end as u64,
-                            attempts: 1 + options.max_reassignments,
-                        });
-                    }
-                }
-                UnitResolution::Pending => saw_pending = true,
-            }
-        }
-        if halted.load(Ordering::SeqCst) || saw_pending {
-            return Err(DistHalted {
-                units_completed: executed_this_run.load(Ordering::SeqCst),
-            });
-        }
-    }
-
-    let (dataset, ledger) = assemble(corpus, options, states, degraded_units);
+            ..DistStats::default()
+        },
+    };
+    let (dataset, ledger) = run_build(
+        corpus,
+        options.quota,
+        options.max_extreme_examples,
+        options.max_mismatch_examples,
+        workers,
+        |units| dispatcher.run_wave(units),
+    )?;
+    let mut stats = dispatcher.stats;
+    stats.degraded_units = ledger.degraded_units.len() as u64;
     Ok(DistBuild {
         dataset,
         ledger,
@@ -794,258 +943,154 @@ pub fn build_dataset_distributed<E: UnitExecutor + ?Sized>(
     })
 }
 
-/// Dispatch one wave's units across the worker slots until every unit is
-/// done or lost (or the halt simulation fires). One dispatcher thread
-/// per worker slot; failed dispatches re-queue with virtual backoff
-/// until the reassignment budget is exhausted.
-#[allow(clippy::too_many_arguments)]
-fn run_wave<E: UnitExecutor + ?Sized>(
-    executor: &E,
-    units: &[(usize, UnitRequest)],
-    options: &DistOptions,
-    workers: usize,
-    seed: u64,
-    checkpoint: &Mutex<CheckpointLog>,
-    completed: &Mutex<HashMap<String, Vec<WireVerdict>>>,
-    stats: &mut DistStats,
-    executed_this_run: &AtomicUsize,
-    halted: &AtomicBool,
-) -> Vec<UnitResolution> {
-    let mut resolutions: Vec<UnitResolution> = Vec::with_capacity(units.len());
-    let mut queue: VecDeque<(usize, u32)> = VecDeque::new();
-    {
-        let completed = completed.lock().unwrap();
-        for (idx, (_, req)) in units.iter().enumerate() {
-            if let Some(vs) = completed.get(&req.key()) {
-                stats.units_from_checkpoint += 1;
-                resolutions.push(UnitResolution::Done(vs.clone()));
-            } else {
-                queue.push_back((idx, 0));
-                resolutions.push(UnitResolution::Pending);
-            }
-        }
-    }
-    let pending = AtomicUsize::new(queue.len());
-    if queue.is_empty() {
-        return resolutions;
-    }
-    let queue = Mutex::new(queue);
-    let resolutions = Mutex::new(resolutions);
-    // Wave-scoped counter deltas, folded into `stats` after the scope
-    // joins (dispatchers run on their own threads).
-    let delta = Mutex::new(DistStats::default());
-    // Dispatchers carry the caller's trace context, so in-process units
-    // record into a traced build's session.
-    let trace_context = &obs::trace::current();
+/// Why a dispatcher lock can be poisoned: a dispatcher thread panicked
+/// while holding it.
+const LOCK: &str = "a dispatcher panicked holding a wave lock";
 
-    std::thread::scope(|scope| {
-        for worker in 0..workers {
-            let queue = &queue;
-            let resolutions = &resolutions;
-            let delta = &delta;
-            let pending = &pending;
-            scope.spawn(move || {
-                let _trace = trace_context.enter();
-                let mut consecutive_failures = 0u32;
-                loop {
-                    if halted.load(Ordering::SeqCst) {
-                        break;
-                    }
-                    let job = queue.lock().unwrap().pop_front();
-                    let Some((idx, attempt)) = job else {
-                        if pending.load(Ordering::SeqCst) == 0 {
-                            break;
+/// The dispatcher's state across one build's waves.
+struct Dispatcher<'a, E: ?Sized> {
+    executor: &'a E,
+    options: &'a DistOptions,
+    config: WireBuildConfig,
+    workers: usize,
+    checkpoint: Mutex<CheckpointLog>,
+    /// Durable units from an earlier run. Each is taken, not copied, when
+    /// its wave is planned: windows only advance, so no key recurs.
+    completed: HashMap<String, Vec<WireVerdict>>,
+    stats: DistStats,
+}
+
+impl<E: UnitExecutor + ?Sized> Dispatcher<'_, E> {
+    /// Dispatch one wave's units across the worker slots until every unit
+    /// is done or lost, or the halt simulation fires. One dispatcher
+    /// thread per worker slot; failed dispatches re-queue with virtual
+    /// backoff until the reassignment budget is exhausted.
+    fn run_wave(&mut self, units: &[Unit]) -> Result<Vec<UnitResolution>, DistHalted> {
+        self.stats.waves += 1;
+        self.stats.units_planned += units.len() as u64;
+        let requests: Vec<UnitRequest> = units
+            .iter()
+            .map(|unit| UnitRequest {
+                config: self.config.clone(),
+                country: unit.country,
+                start: unit.range.start,
+                end: unit.range.end,
+                hold_ms: 0,
+            })
+            .collect();
+        let mut resolutions = Vec::with_capacity(requests.len());
+        let mut queue: VecDeque<(usize, u32)> = VecDeque::new();
+        for (idx, request) in requests.iter().enumerate() {
+            let durable = self.completed.remove(&request.key());
+            match durable {
+                Some(_) => self.stats.units_from_checkpoint += 1,
+                None => queue.push_back((idx, 0)),
+            }
+            resolutions.push(durable.map(UnitResolution::Done));
+        }
+        let halted = AtomicBool::new(false);
+        let pending = AtomicUsize::new(queue.len());
+        let queue = Mutex::new(queue);
+        let resolutions = Mutex::new(resolutions);
+        // Dispatchers count into the run's stats from their own threads.
+        let stats = Mutex::new(std::mem::take(&mut self.stats));
+        // Dispatchers carry the caller's trace context, so in-process units
+        // record into a traced build's session.
+        let trace_context = &obs::trace::current();
+        let (executor, options, seed) = (self.executor, self.options, self.config.seed);
+        let (checkpoint, requests) = (&self.checkpoint, &requests);
+
+        std::thread::scope(|scope| {
+            for worker in 0..self.workers {
+                let (queue, resolutions, stats) = (&queue, &resolutions, &stats);
+                let (halted, pending) = (&halted, &pending);
+                scope.spawn(move || {
+                    let _trace = trace_context.enter();
+                    let mut consecutive_failures = 0u32;
+                    while !halted.load(Ordering::SeqCst) {
+                        let job = queue.lock().expect(LOCK).pop_front();
+                        let Some((idx, attempt)) = job else {
+                            if pending.load(Ordering::SeqCst) == 0 {
+                                break;
+                            }
+                            // Another dispatcher may still re-queue a failed
+                            // unit; yield briefly and re-check.
+                            std::thread::sleep(std::time::Duration::from_millis(1));
+                            continue;
+                        };
+                        let request = &requests[idx];
+                        let key = request.key();
+                        if !executor.heartbeat(worker) {
+                            let revived = executor.revive(worker);
+                            let mut s = stats.lock().expect(LOCK);
+                            s.heartbeat_failures += 1;
+                            s.worker_revivals += u64::from(revived);
                         }
-                        // Another dispatcher may still re-queue a failed
-                        // unit; yield briefly and re-check.
-                        std::thread::sleep(std::time::Duration::from_millis(1));
-                        continue;
-                    };
-                    let (_, req) = &units[idx];
-                    let key = req.key();
-                    if !executor.heartbeat(worker) {
-                        let mut d = delta.lock().unwrap();
-                        d.heartbeat_failures += 1;
-                        d.worker_revivals += u64::from(executor.revive(worker));
-                    }
-                    match executor.execute(worker, attempt, req) {
-                        Ok(verdicts) => {
-                            consecutive_failures = 0;
-                            checkpoint.lock().unwrap().append(&key, &verdicts);
-                            completed.lock().unwrap().insert(key, verdicts.clone());
-                            resolutions.lock().unwrap()[idx] = UnitResolution::Done(verdicts);
-                            pending.fetch_sub(1, Ordering::SeqCst);
-                            delta.lock().unwrap().units_executed += 1;
-                            let done = executed_this_run.fetch_add(1, Ordering::SeqCst) + 1;
-                            if let Some(halt) = options.halt_after_units {
-                                if done >= halt {
+                        match executor.execute(worker, attempt, request) {
+                            Ok(verdicts) => {
+                                consecutive_failures = 0;
+                                checkpoint.lock().expect(LOCK).append(&key, &verdicts);
+                                resolutions.lock().expect(LOCK)[idx] =
+                                    Some(UnitResolution::Done(verdicts));
+                                pending.fetch_sub(1, Ordering::SeqCst);
+                                let done = {
+                                    let mut s = stats.lock().expect(LOCK);
+                                    s.units_executed += 1;
+                                    s.units_executed as usize
+                                };
+                                if options.halt_after_units.is_some_and(|halt| done >= halt) {
                                     halted.store(true, Ordering::SeqCst);
                                 }
                             }
-                        }
-                        Err(error) => {
-                            consecutive_failures += 1;
-                            {
-                                let mut d = delta.lock().unwrap();
-                                match &error {
-                                    UnitError::WorkerDied(_) => d.worker_deaths += 1,
-                                    UnitError::LeaseExpired(_) => d.lease_expirations += 1,
+                            Err(error) => {
+                                consecutive_failures += 1;
+                                let retry = attempt < options.max_reassignments;
+                                {
+                                    let mut s = stats.lock().expect(LOCK);
+                                    match &error {
+                                        UnitError::WorkerDied(_) => s.worker_deaths += 1,
+                                        UnitError::LeaseExpired(_) => s.lease_expirations += 1,
+                                    }
+                                    if retry {
+                                        s.reassignments += 1;
+                                        s.backoff_virtual_ms +=
+                                            reassignment_backoff_ms(options, seed, &key, attempt);
+                                    }
                                 }
-                                if attempt < options.max_reassignments {
-                                    d.reassignments += 1;
-                                    d.backoff_virtual_ms +=
-                                        reassignment_backoff_ms(options, seed, &key, attempt);
+                                if retry {
+                                    queue.lock().expect(LOCK).push_back((idx, attempt + 1));
+                                } else {
+                                    resolutions.lock().expect(LOCK)[idx] =
+                                        Some(UnitResolution::Lost(1 + attempt));
+                                    pending.fetch_sub(1, Ordering::SeqCst);
                                 }
-                            }
-                            if attempt < options.max_reassignments {
-                                queue.lock().unwrap().push_back((idx, attempt + 1));
-                            } else {
-                                resolutions.lock().unwrap()[idx] = UnitResolution::Lost;
-                                pending.fetch_sub(1, Ordering::SeqCst);
-                            }
-                            if consecutive_failures >= options.worker_breaker_threshold.max(1) {
-                                delta.lock().unwrap().worker_revivals +=
-                                    u64::from(executor.revive(worker));
-                                consecutive_failures = 0;
+                                if consecutive_failures >= options.worker_breaker_threshold.max(1) {
+                                    let revived = executor.revive(worker);
+                                    stats.lock().expect(LOCK).worker_revivals += u64::from(revived);
+                                    consecutive_failures = 0;
+                                }
                             }
                         }
                     }
-                }
+                });
+            }
+        });
+
+        self.stats = stats.into_inner().expect(LOCK);
+        if halted.into_inner() {
+            return Err(DistHalted {
+                units_completed: self.stats.units_executed as usize,
             });
         }
-    });
-
-    let delta = delta.into_inner().unwrap();
-    stats.units_executed += delta.units_executed;
-    stats.reassignments += delta.reassignments;
-    stats.worker_deaths += delta.worker_deaths;
-    stats.lease_expirations += delta.lease_expirations;
-    stats.heartbeat_failures += delta.heartbeat_failures;
-    stats.worker_revivals += delta.worker_revivals;
-    stats.backoff_virtual_ms += delta.backoff_virtual_ms;
-    resolutions.into_inner().unwrap()
-}
-
-/// Replay the sequential replacement walk over each country's verdicts
-/// and assemble the dataset + ledger — the same loop, accumulators, and
-/// caps as the in-process pipeline, so the bytes cannot differ.
-fn assemble(
-    corpus: &Corpus,
-    options: &DistOptions,
-    states: Vec<CountryState>,
-    mut degraded_units: Vec<DegradedUnit>,
-) -> (Dataset, CrawlLedger) {
-    struct CountryOut {
-        country: Country,
-        records: Vec<SiteRecord>,
-        summary: crate::dataset::CountryCrawlSummary,
-        extremes: Vec<ExtremeExample>,
-        mismatches: Vec<MismatchExample>,
+        // Dispatchers stop early only when the halt fires, so every unit
+        // is resolved here.
+        Ok(resolutions
+            .into_inner()
+            .expect(LOCK)
+            .into_iter()
+            .map(|resolution| resolution.expect("unit resolved"))
+            .collect())
     }
-
-    let mut country_ledgers: Vec<CountryLedger> = Vec::with_capacity(states.len());
-    let mut results: Vec<CountryOut> = Vec::with_capacity(states.len());
-    for st in states {
-        let mut replay_span =
-            obs::trace::span("dist.replay", obs::trace::key_str(st.country.code()));
-        let mut ledger = CountryLedger::new(st.country.code());
-        let mut stats = SelectionStats::default();
-        let mut records = Vec::new();
-        let mut extremes = Vec::new();
-        let mut mismatches = Vec::new();
-        let mut error_run = 0u64;
-        let mut selected = 0usize;
-        for verdict in &st.verdicts {
-            if selected >= options.quota {
-                break;
-            }
-            ledger.record_probe_outcome(verdict.outcome_ref(), &verdict.trace);
-            if verdict.is_selected() {
-                ledger.note_replacement_run(error_run);
-                error_run = 0;
-            } else {
-                error_run += 1;
-            }
-            tally_outcome(verdict.outcome_ref(), &mut stats);
-            if let WireOutcome::Selected {
-                record,
-                extremes: site_extremes,
-                mismatches: site_mismatches,
-            } = &verdict.outcome
-            {
-                selected += 1;
-                if let Some(gaps) = &record.gaps {
-                    ledger.gap_pages += 1;
-                    ledger.gap_regions += u64::from(gaps.regions);
-                }
-                records.push(record.clone());
-                for e in site_extremes {
-                    if extremes.len() < options.max_extreme_examples {
-                        extremes.push(e.clone());
-                    }
-                }
-                for m in site_mismatches {
-                    if mismatches.len() < options.max_mismatch_examples {
-                        mismatches.push(m.clone());
-                    }
-                }
-            }
-        }
-        ledger.note_replacement_run(error_run);
-        stats.shortfall = (options.quota as u64).saturating_sub(stats.selected);
-        replay_span.set_virtual_ms(ledger.virtual_ms);
-        let summary = to_summary(st.country, &stats);
-        country_ledgers.push(ledger);
-        results.push(CountryOut {
-            country: st.country,
-            records,
-            summary,
-            extremes,
-            mismatches,
-        });
-    }
-
-    results.sort_by_key(|r| Country::STUDY.iter().position(|&c| c == r.country));
-    country_ledgers.sort_by_key(|l| {
-        Country::STUDY
-            .iter()
-            .position(|&c| c.code() == l.country_code)
-    });
-    degraded_units.sort_by_key(|u| {
-        (
-            Country::STUDY
-                .iter()
-                .position(|&c| c.code() == u.country_code),
-            u.start,
-        )
-    });
-
-    let mut dataset = Dataset {
-        seed: corpus.config().seed,
-        quota: options.quota,
-        ..Dataset::default()
-    };
-    for mut result in results {
-        dataset.records.append(&mut result.records);
-        dataset.crawl_summaries.push(result.summary);
-        for e in result.extremes {
-            if dataset.extreme_examples.len() < options.max_extreme_examples {
-                dataset.extreme_examples.push(e);
-            }
-        }
-        for m in result.mismatches {
-            if dataset.mismatch_examples.len() < options.max_mismatch_examples {
-                dataset.mismatch_examples.push(m);
-            }
-        }
-    }
-    let mut ledger = CrawlLedger::new(
-        corpus.config().seed,
-        *corpus.internet().fault_plan(),
-        country_ledgers,
-    );
-    ledger.degraded_units = degraded_units;
-    (dataset, ledger)
 }
 
 // ---------------------------------------------------------------------
@@ -1103,13 +1148,7 @@ impl WorkerState {
                 request.country.code()
             ));
         }
-        let verdicts = execute_unit(
-            &corpus,
-            request.config.browser,
-            request.country,
-            request.start,
-            request.end,
-        );
+        let verdicts = execute_request(&corpus, &request, None);
         serde_json::to_string(&verdicts).map_err(|e| format!("serialize verdicts: {e}"))
     }
 }
@@ -1329,12 +1368,40 @@ mod tests {
 
     #[test]
     fn wire_verdicts_round_trip_through_json() {
-        let config = small_config(47, 6);
-        let corpus = config.build_corpus();
-        let country = corpus.countries().next().unwrap();
-        let verdicts = execute_unit(&corpus, config.browser, country, 0, 6);
-        assert_eq!(verdicts.len(), 6);
-        assert!(verdicts.iter().any(|v| v.is_selected()));
+        // A RELIABLE corpus, and a HOSTILE one with gap scenarios: fetch
+        // errors, retried traces and gap summaries must survive the wire.
+        let hostile = CorpusConfig {
+            fault_plan: FaultPlan::HOSTILE,
+            gap_scenarios: true,
+            ..CorpusConfig::small(47, 6)
+        };
+        let mut verdicts = Vec::new();
+        for config in [CorpusConfig::small(47, 6), hostile] {
+            let corpus = Corpus::build(config);
+            let mut browser = Browser::new(corpus.internet(), BrowserConfig::default());
+            for country in corpus.countries() {
+                let range = 0..corpus.candidates(country).len();
+                verdicts.extend(execute_unit(&corpus, &mut browser, country, range, None));
+            }
+        }
+        let selected_with_gaps = |v: &WireVerdict| match &v.outcome {
+            WireOutcome::Selected { record, .. } => record.gaps.is_some(),
+            _ => false,
+        };
+        assert!(verdicts.iter().any(selected_with_gaps), "no gap summary");
+        assert!(
+            verdicts
+                .iter()
+                .any(|v| matches!(v.outcome, WireOutcome::Rejected(Rejection::Fetch(_)))),
+            "no fetch-error rejection"
+        );
+        assert!(verdicts.iter().any(|v| v.trace.attempts > 1), "no retry");
+        verdicts.push(WireVerdict {
+            outcome: WireOutcome::Poisoned {
+                host: "poisoned.th".to_string(),
+            },
+            trace: VisitTrace::default(),
+        });
         let json = serde_json::to_string(&verdicts).unwrap();
         let back: Vec<WireVerdict> = serde_json::from_str(&json).unwrap();
         assert_eq!(back, verdicts);

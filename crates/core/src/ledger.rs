@@ -10,11 +10,11 @@
 //! identical at every worker count — the same determinism contract as
 //! `Dataset::to_json`, and a tested invariant.
 //!
-//! Sites whose analysis panicked (poisoned work units — see
-//! [`crate::pipeline`]) are listed per country by host, so a degraded
-//! run is auditable down to the individual page.
+//! Sites whose analysis panicked (contained per site by the unit
+//! execution in [`crate::dist`]) are listed per country by host, so a
+//! degraded run is auditable down to the individual page.
 
-use crate::selection::{Rejection, SelectedSite};
+use crate::selection::Rejection;
 use langcrux_crawl::{VisitError, VisitTrace};
 use langcrux_net::{FaultPlan, FetchError};
 use serde::{field, DeError, Deserialize, ObjectWriter, Serialize, Value};
@@ -194,19 +194,11 @@ impl CountryLedger {
         }
     }
 
-    /// Fold one probed candidate (its verdict and visit trace) into the
-    /// account. Replacement-run depth is tracked by the caller, which
-    /// owns the sequential walk — see [`note_replacement_run`].
+    /// Fold one probed candidate (its site-free verdict and visit trace)
+    /// into the account. Replacement-run depth is tracked by the caller,
+    /// which owns the sequential walk — see [`note_replacement_run`].
     ///
     /// [`note_replacement_run`]: CountryLedger::note_replacement_run
-    pub fn record_probe(&mut self, outcome: &Result<SelectedSite, Rejection>, trace: &VisitTrace) {
-        self.record_probe_outcome(outcome.as_ref().map(|_| ()), trace);
-    }
-
-    /// [`record_probe`](CountryLedger::record_probe) over a site-free
-    /// verdict — the shape distributed workers ship back. Both replays
-    /// fold through this one accumulator, so their arithmetic cannot
-    /// drift.
     pub fn record_probe_outcome(&mut self, outcome: Result<(), &Rejection>, trace: &VisitTrace) {
         self.attempted += 1;
         self.attempts += u64::from(trace.attempts);
@@ -530,9 +522,9 @@ mod tests {
     #[test]
     fn record_probe_accumulates_and_counts_replacements() {
         let mut ledger = CountryLedger::new("bd");
-        ledger.record_probe(&Err(Rejection::BelowThreshold), &trace(1, 50));
-        ledger.record_probe(
-            &Err(Rejection::Fetch(VisitError::Fetch(FetchError::Timeout))),
+        ledger.record_probe_outcome(Err(&Rejection::BelowThreshold), &trace(1, 50));
+        ledger.record_probe_outcome(
+            Err(&Rejection::Fetch(VisitError::Fetch(FetchError::Timeout))),
             &trace(3, 900),
         );
         ledger.note_replacement_run(2);
@@ -549,13 +541,13 @@ mod tests {
     #[test]
     fn totals_absorb_all_countries() {
         let mut bd = CountryLedger::new("bd");
-        bd.record_probe(
-            &Err(Rejection::Fetch(VisitError::Restricted)),
+        bd.record_probe_outcome(
+            Err(&Rejection::Fetch(VisitError::Restricted)),
             &trace(1, 10),
         );
         bd.poisoned_sites.push("sangbad-3.bd".into());
         let mut th = CountryLedger::new("th");
-        th.record_probe(&Err(Rejection::BelowThreshold), &trace(2, 20));
+        th.record_probe_outcome(Err(&Rejection::BelowThreshold), &trace(2, 20));
         let ledger = CrawlLedger::new(9, FaultPlan::RELIABLE, vec![bd, th]);
         assert_eq!(ledger.totals.country_code, "total");
         assert_eq!(ledger.totals.attempted, 2);
@@ -617,22 +609,10 @@ mod tests {
     }
 
     #[test]
-    fn record_probe_outcome_matches_sited_replay() {
-        let mut by_site = CountryLedger::new("bd");
-        by_site.record_probe(&Err(Rejection::BelowThreshold), &trace(2, 40));
-        let mut by_wire = CountryLedger::new("bd");
-        by_wire.record_probe_outcome(Err(&Rejection::BelowThreshold), &trace(2, 40));
-        by_wire.record_probe_outcome(Ok(()), &trace(1, 10));
-        by_site.record_probe_outcome(Ok(()), &trace(1, 10));
-        assert_eq!(by_site, by_wire);
-        assert_eq!(by_wire.selected, 1);
-    }
-
-    #[test]
     fn ledger_round_trips_through_json() {
         let mut bd = CountryLedger::new("bd");
-        bd.record_probe(
-            &Err(Rejection::Fetch(VisitError::DeadlineExceeded)),
+        bd.record_probe_outcome(
+            Err(&Rejection::Fetch(VisitError::DeadlineExceeded)),
             &trace(4, 31_000),
         );
         let ledger = CrawlLedger::new(41, FaultPlan::HOSTILE, vec![bd]);

@@ -13,13 +13,14 @@
 //!
 //! * [`stats`] — summaries, CDFs, histograms, count grids.
 //! * [`selection`] — the §2 inclusion criteria (languages and websites).
-//! * [`pipeline`] — crawl + extract + filter + classify + audit, per
-//!   country on a worker pool, with unwind-guarded work units.
+//! * [`pipeline`] — crawl + extract + filter + classify + audit: the build
+//!   engine run on the in-process worker pool, and the per-site analysis.
 //! * [`ledger`] — the degraded-run ledger: per-country error taxonomy,
 //!   retry/backoff/breaker accounting, replacement-chain depth.
-//! * [`dist`] — the fault-tolerant distributed build: coordinator/worker
-//!   sharding with lease-based reassignment, checkpoint/resume, and
-//!   byte-identical recovery under injected crashes.
+//! * [`dist`] — the build engine (probe waves, the one unwind-guarded unit
+//!   execution, the selection replay) and the fault-tolerant dispatcher
+//!   that runs it on worker processes: lease-based reassignment,
+//!   checkpoint/resume, and byte-identical recovery under injected crashes.
 //! * [`dataset`] — the serializable LangCrUX data model.
 //! * [`analysis`] — one function per paper artefact.
 //! * [`render`] — plain-text rendering used by the `repro` harness.

@@ -1,7 +1,7 @@
 //! Plain-text rendering of every table and figure.
 //!
-//! The `repro` binary prints these; EXPERIMENTS.md embeds them. Rendering
-//! is purely presentational — all numbers come from `analysis`.
+//! The `repro` binary prints these. Rendering is purely presentational —
+//! all numbers come from `analysis`.
 
 use crate::analysis::{
     DeclaredLangRow, DiscardDistribution, ElementStatsRow, Headlines, KizukiShift, LangDistRow,

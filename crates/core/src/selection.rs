@@ -179,36 +179,6 @@ pub fn probe_candidate_traced(
     (outcome, trace)
 }
 
-/// Fold one probe outcome into the running stats, appending to `selected`
-/// when the candidate qualified. Shared by the sequential walk below and
-/// the pipeline's parallel verdict replay so both count identically.
-pub fn tally_probe(
-    outcome: Result<SelectedSite, Rejection>,
-    selected: &mut Vec<SelectedSite>,
-    stats: &mut SelectionStats,
-) {
-    tally_outcome(outcome.as_ref().map(|_| ()), stats);
-    if let Ok(site) = outcome {
-        selected.push(site);
-    }
-}
-
-/// [`tally_probe`] over a site-free verdict — the shape distributed
-/// workers ship back ([`crate::dist`]). Every replay counts through this
-/// one function, so single-process and distributed stats cannot drift.
-pub fn tally_outcome(outcome: Result<(), &Rejection>, stats: &mut SelectionStats) {
-    stats.attempted += 1;
-    match outcome {
-        Ok(()) => stats.selected += 1,
-        Err(Rejection::BelowThreshold) => stats.rejected_threshold += 1,
-        Err(Rejection::Fetch(VisitError::Restricted)) => {
-            stats.restricted += 1;
-            stats.failed_fetch += 1;
-        }
-        Err(Rejection::Fetch(_)) => stats.failed_fetch += 1,
-    }
-}
-
 /// Select up to `quota` websites for `country` from the corpus, walking
 /// candidates in CrUX rank order and replacing failures with the next
 /// candidate — the paper's procedure.
@@ -229,8 +199,19 @@ pub fn select_websites(
         if selected.len() >= quota {
             break;
         }
-        let outcome = probe_candidate(&mut browser, plan, vantage, native);
-        tally_probe(outcome, &mut selected, &mut stats);
+        stats.attempted += 1;
+        match probe_candidate(&mut browser, plan, vantage, native) {
+            Ok(site) => {
+                stats.selected += 1;
+                selected.push(site);
+            }
+            Err(Rejection::BelowThreshold) => stats.rejected_threshold += 1,
+            Err(Rejection::Fetch(VisitError::Restricted)) => {
+                stats.restricted += 1;
+                stats.failed_fetch += 1;
+            }
+            Err(Rejection::Fetch(_)) => stats.failed_fetch += 1,
+        }
     }
     stats.shortfall = (quota as u64).saturating_sub(stats.selected);
     (selected, stats)

@@ -1,8 +1,8 @@
 //! Accessibility-element extraction (DOM path — the streaming path's
 //! reference oracle).
 //!
-//! Implements the extraction contract of DESIGN.md §3: for each of the
-//! twelve element kinds, which attribute(s) provide its *accessibility
+//! Implements the extraction contract behind the paper's Table 2: for each
+//! of the twelve element kinds, which attribute(s) provide its *accessibility
 //! text*, in priority order. "Missing" means no source is present at all;
 //! "Empty" means a source is present but whitespace-only — the distinction
 //! Table 2 reports. For buttons and links the visible inner text is

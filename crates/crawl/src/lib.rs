@@ -11,8 +11,8 @@
 //!
 //! * [`mod@extract`] — visible text, `<html lang>`, and the twelve
 //!   accessibility element kinds with their missing/empty/text states
-//!   (the extraction contract of DESIGN.md); the DOM-walking reference
-//!   implementation.
+//!   (its module docs give the attribute priority per kind); the
+//!   DOM-walking reference implementation.
 //! * [`stream`] — the same extraction streamed from tokenizer events with
 //!   no DOM materialisation ([`extract_streaming`]); the crawl path's
 //!   per-visit hot loop, byte-identical to the DOM path by test.

@@ -416,22 +416,24 @@ pub fn placeholder(text: &str) -> Option<Term> {
 }
 
 /// All generic actions in a given language (used by the generator to plant
-/// calibrated uninformative labels).
-pub fn actions_in(language: Language) -> Vec<&'static str> {
-    GENERIC_ACTIONS
-        .iter()
-        .filter(|term| term.language == language)
-        .map(|term| term.text)
-        .collect()
+/// calibrated uninformative labels). Allocation-free: a filter over the
+/// static list, cheap to clone for a count-then-pick.
+pub fn actions_in(language: Language) -> impl Iterator<Item = &'static str> + Clone {
+    terms_in(GENERIC_ACTIONS, language)
 }
 
 /// All placeholders in a given language.
-pub fn placeholders_in(language: Language) -> Vec<&'static str> {
-    PLACEHOLDERS
-        .iter()
-        .filter(|term| term.language == language)
+pub fn placeholders_in(language: Language) -> impl Iterator<Item = &'static str> + Clone {
+    terms_in(PLACEHOLDERS, language)
+}
+
+fn terms_in(
+    list: &'static [Term],
+    language: Language,
+) -> impl Iterator<Item = &'static str> + Clone {
+    list.iter()
+        .filter(move |term| term.language == language)
         .map(|term| term.text)
-        .collect()
 }
 
 #[cfg(test)]
@@ -513,12 +515,12 @@ mod tests {
     fn every_included_language_has_actions_and_placeholders() {
         for lang in Language::INCLUDED {
             assert!(
-                !actions_in(lang).is_empty(),
+                actions_in(lang).next().is_some(),
                 "no generic actions for {:?}",
                 lang
             );
             assert!(
-                !placeholders_in(lang).is_empty(),
+                placeholders_in(lang).next().is_some(),
                 "no placeholders for {:?}",
                 lang
             );

@@ -20,8 +20,7 @@
 //! [`span`], [`virtual_wait`], [`task_fence`] and [`enabled`] begin with
 //! one thread-local load — does this thread carry a session? — and
 //! return an inert guard when it does not: no allocation, no time reads,
-//! no shared memory touched. The overhead of the disabled path is
-//! CI-gated (see `ObservabilityRecord` in `langcrux-bench`).
+//! no shared memory touched.
 //!
 //! # Determinism contract
 //!

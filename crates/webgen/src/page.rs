@@ -170,6 +170,22 @@ impl PageTruth {
     }
 }
 
+/// Pick one of `terms` (of `fallback` when `terms` is empty) with one
+/// `gen_range(0..len)` draw, without collecting either list.
+fn pick_term<I>(r: &mut StdRng, terms: I, fallback: I) -> &'static str
+where
+    I: Iterator<Item = &'static str> + Clone,
+{
+    let mut pool = if terms.clone().next().is_some() {
+        terms
+    } else {
+        fallback
+    };
+    let len = pool.clone().count();
+    pool.nth(r.gen_range(0..len))
+        .expect("draw is below the pool length")
+}
+
 fn sample_category(r: &mut StdRng, dist: &[f64; 11]) -> DiscardCategory {
     let total: f64 = dist.iter().sum();
     let mut roll = r.gen::<f64>() * total;
@@ -606,12 +622,8 @@ impl<'a> Renderer<'a> {
                     Language::English
                 };
                 let pool = dict::actions_in(lang);
-                let pool = if pool.is_empty() {
-                    dict::actions_in(Language::English)
-                } else {
-                    pool
-                };
-                out.push_str(pool[self.g.rng.gen_range(0..pool.len())]);
+                let fallback = dict::actions_in(Language::English);
+                out.push_str(pick_term(&mut self.g.rng, pool, fallback));
             }
             DiscardCategory::Placeholder => {
                 let lang = if use_native {
@@ -620,12 +632,8 @@ impl<'a> Renderer<'a> {
                     Language::English
                 };
                 let pool = dict::placeholders_in(lang);
-                let pool = if pool.is_empty() {
-                    dict::placeholders_in(Language::English)
-                } else {
-                    pool
-                };
-                out.push_str(pool[self.g.rng.gen_range(0..pool.len())]);
+                let fallback = dict::placeholders_in(Language::English);
+                out.push_str(pick_term(&mut self.g.rng, pool, fallback));
             }
             DiscardCategory::DevLabel => {
                 const HEADS: &[&str] = &["btn", "nav", "img", "ico", "hdr", "card", "mod"];

@@ -25,11 +25,10 @@
 //!
 //! `ARCHITECTURE.md` at the repository root maps the crate graph, the
 //! fused single-pass data flow (tokenizer → streaming extract → carried
-//! histogram → selection/Kizuki/audit), the work-stealing pool's
-//! determinism contract, and the serve cache design; `docs/benchmarks.md`
-//! documents every `BENCH_*.json` field and how the CI gates relate to
-//! the committed reference numbers. See `README.md` for a quickstart and
-//! `DESIGN.md` for the system inventory.
+//! histogram → selection/Kizuki/audit), the build engine's determinism
+//! contract, and the serve cache design; `docs/benchmarks.md` explains
+//! how the build and the serve path are measured (perfbench, the exact
+//! checks in tier-1, the CI gates).
 
 pub use langcrux_audit as audit;
 pub use langcrux_core as core;

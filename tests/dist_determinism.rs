@@ -9,7 +9,7 @@
 //! path itself is exercised by the CI distributed smoke and the
 //! `--chaos-kill-workers` harness).
 //!
-//! Three angles:
+//! Four angles:
 //!
 //! * the *boundary sweep* — for **every** work unit the build plans, run
 //!   a build where exactly that unit's first dispatch dies, so no unit
@@ -18,18 +18,21 @@
 //!   (several per run, pure in the unit key) with the injected-failure
 //!   count cross-checked against the coordinator's reassignment metric;
 //! * the *metrics exposition* — reassignments must be visible to
-//!   operators through the registry, not just internally counted.
+//!   operators through the registry, not just internally counted;
+//! * *panic containment* — a site whose analysis panics is poisoned the
+//!   same way in process and on a dispatched unit: one ledger entry, no
+//!   failed dispatch.
 
 use langcrux::core::dist::{
     build_dataset_distributed, DistBuild, DistOptions, LocalExecutor, WireBuildConfig,
 };
-use langcrux::core::{build_dataset_with_ledger, PipelineOptions};
+use langcrux::core::{build_dataset_with_ledger, Dataset, PipelineOptions};
 use langcrux::crawl::BrowserConfig;
 use langcrux::lang::rng;
 use langcrux::webgen::{Corpus, CorpusConfig};
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
 const SEED: u64 = 47;
 const SITES: usize = 8;
@@ -158,4 +161,41 @@ fn reassignments_surface_in_the_metrics_exposition() {
         "{text}"
     );
     assert!(text.contains("langcrux_dist_workers 2"), "{text}");
+}
+
+/// Target host of the injected analysis panic; the hook is a plain fn
+/// pointer, so the test passes the dynamic choice through a static.
+static POISON_TARGET: OnceLock<String> = OnceLock::new();
+
+fn poison_target(host: &str) -> bool {
+    POISON_TARGET.get().is_some_and(|target| target == host)
+}
+
+#[test]
+fn a_panicking_site_is_poisoned_alike_in_process_and_dispatched() {
+    let (ds_oracle, _) = oracle_bytes();
+    let oracle = Dataset::from_json(&ds_oracle).unwrap();
+    let victim = oracle.records[oracle.records.len() / 2].host.clone();
+    POISON_TARGET.set(victim.clone()).expect("set once");
+
+    let (dataset, ledger) = build_dataset_with_ledger(
+        &corpus(),
+        PipelineOptions {
+            quota: SITES,
+            chaos_panic_host: Some(poison_target),
+            ..PipelineOptions::default()
+        },
+    );
+    let mut executor =
+        LocalExecutor::new(&WireBuildConfig::of(&corpus(), BrowserConfig::default()));
+    executor.panic_host = Some(poison_target);
+    let build = run(&executor);
+
+    assert_eq!(build.dataset.to_json().unwrap(), dataset.to_json().unwrap());
+    assert_eq!(build.ledger.to_json().unwrap(), ledger.to_json().unwrap());
+    assert_eq!(build.ledger.totals.poisoned_sites, vec![victim.clone()]);
+    assert!(build.ledger.degraded_units.is_empty());
+    assert_eq!(build.stats.reassignments, 0, "{:?}", build.stats);
+    assert_eq!(dataset.len(), oracle.len() - 1);
+    assert!(dataset.records.iter().all(|r| r.host != victim));
 }

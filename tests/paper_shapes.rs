@@ -4,7 +4,8 @@
 //! (corpus → simulated network → VPN crawl → extraction → filtering →
 //! classification → audits) and assert the paper's qualitative findings —
 //! orderings, thresholds, crossovers — hold on the measured output. They
-//! are the executable version of EXPERIMENTS.md.
+//! are the executable check that the reproduction keeps the paper's
+//! findings.
 
 use langcrux::core::analysis;
 use langcrux::core::Dataset;

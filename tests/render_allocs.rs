@@ -16,7 +16,7 @@ use langcrux::webgen::{render_into, RenderScratch};
 use std::hint::black_box;
 
 /// Allocations of the second pass over the render sweep.
-const PINNED_PASS_ALLOCS: u64 = 1_443;
+const PINNED_PASS_ALLOCS: u64 = 0;
 
 #[test]
 fn warm_render_allocations_are_pinned() {

@@ -109,17 +109,17 @@ fn chrome_export_is_schema_valid() {
     assert_eq!(duration_events % 2, 0);
 
     // Every stage of the taxonomy that a RELIABLE build exercises shows
-    // up, as often as the build's shape dictates: one build, probe wave
-    // and ledger fold; a shard build and a verdict replay per country; an
-    // analysis per selected site; a fetch, an extraction and a render per
-    // visit. A span added inside a loop moves a count, and the ring keeps
-    // every span at the default capacity.
+    // up, as often as the build's shape dictates: one build and probe
+    // wave; a shard build and a verdict replay per country; an analysis
+    // per qualifying candidate probed (156 of the 180, past quota
+    // included); a fetch, an extraction and a render per visit. A span
+    // added inside a loop moves a count, and the ring keeps every span at
+    // the default capacity.
     let expected = BTreeMap::from([
         ("pipeline.build", 1),
         ("pipeline.probe_wave", 1),
         ("pipeline.verdict_replay", 12),
-        ("pipeline.analyze_site", 120),
-        ("pipeline.ledger_fold", 1),
+        ("pipeline.analyze_site", 156),
         ("crawl.fetch", 180),
         ("crawl.extract", 180),
         ("webgen.render", 180),
