@@ -4,8 +4,7 @@
 //! repro [ARTIFACT...] [--sites N | --quick | --full] [--seed S]
 //!       [--fault-plan reliable|default|hostile|PATH.json] [--gap-scenarios]
 //!       [--trace-out [PATH]] [--trace-summary] [--metrics-out FILE]
-//!       [--report] [--serve-bench [PATH]]
-//!       [--serve-daemon [PATH]] [--serve-core threaded|reactor]
+//!       [--report] [--serve-daemon [PATH]]
 //!       [--port N] [--loadgen ADDR] [--dataset-out FILE]
 //!       [--dist N] [--chaos-kill-workers] [--dist-checkpoint PATH]
 //!       [--dist-worker [PATH]]
@@ -15,15 +14,6 @@
 //!         | headlines | selection | crawl
 //!         | ablation-vpn | ablation-langid | ablation-crawl
 //! ```
-//!
-//! `--serve-bench` spawns the `langcrux-serve` audit server on an
-//! ephemeral loopback port, drives it with the load generator (cold =
-//! all cache misses, hot = all cache hits, bounded = hot with the
-//! connection governor at its tightest), and writes `BENCH_serve.json`
-//! (or PATH). `--quick` shrinks the workload to CI-smoke size. The flag
-//! replaces the implicit `all` artefact run; artefacts named explicitly
-//! alongside it are still produced. Build timings come from
-//! `perfbench/`.
 //!
 //! `--trace-out [PATH]` runs the dataset build inside a span-tracing
 //! session and writes the merged spans as Chrome `traceEvents` JSON
@@ -102,19 +92,14 @@ use langcrux_lang::Country;
 struct Args {
     artifacts: Vec<String>,
     /// Whether artifacts were named on the command line (as opposed to
-    /// the implicit `all` default). `--serve-bench` and `--serve-daemon`
-    /// replace the implicit default but never swallow explicitly
-    /// requested artifacts.
+    /// the implicit `all` default). `--serve-daemon` replaces the
+    /// implicit default but never swallows explicitly requested
+    /// artifacts.
     explicit_artifacts: bool,
     scale: Scale,
     seed: u64,
-    /// `Some(path)` when `--serve-bench` was requested.
-    serve_bench: Option<String>,
     /// `Some(pid/port-file path)` when `--serve-daemon` was requested.
     serve_daemon: Option<String>,
-    /// Connection engine for `--serve-daemon` (`--serve-core`); the
-    /// default is the platform's best core (the reactor on Linux).
-    serve_core: langcrux_serve::ServeCore,
     /// Port for the daemon listener (0 = ephemeral).
     port: u16,
     /// `Some(host:port)` when `--loadgen` was requested.
@@ -165,9 +150,7 @@ fn parse_args() -> Args {
     let mut seed = DEFAULT_SEED;
     let mut fault_plan = langcrux_net::FaultPlan::default();
     let mut gap_scenarios = false;
-    let mut serve_bench = None;
     let mut serve_daemon = None;
-    let mut serve_core = langcrux_serve::ServeCore::default();
     let mut port = 0u16;
     let mut loadgen = None;
     let mut trace_out = None;
@@ -210,30 +193,15 @@ fn parse_args() -> Args {
             "--gap-scenarios" => {
                 gap_scenarios = true;
             }
-            "--serve-bench" => {
-                // Only a `.json`-looking token is taken as the output path,
+            "--serve-daemon" => {
+                // Only a `.json`-looking token is taken as the file path,
                 // so a trailing artifact name or flag typo is not silently
                 // consumed as a file name.
-                let path = match iter.peek() {
-                    Some(next) if next.ends_with(".json") => iter.next().unwrap(),
-                    _ => "BENCH_serve.json".to_string(),
-                };
-                serve_bench = Some(path);
-            }
-            "--serve-daemon" => {
                 let path = match iter.peek() {
                     Some(next) if next.ends_with(".json") => iter.next().unwrap(),
                     _ => "serve-daemon.json".to_string(),
                 };
                 serve_daemon = Some(path);
-            }
-            "--serve-core" => {
-                let value = iter.next().expect("--serve-core requires threaded|reactor");
-                serve_core = match value.as_str() {
-                    "threaded" => langcrux_serve::ServeCore::Threaded,
-                    "reactor" => langcrux_serve::ServeCore::Reactor,
-                    other => panic!("--serve-core: unknown core {other:?} (threaded|reactor)"),
-                };
             }
             "--trace-out" => {
                 let path = match iter.peek() {
@@ -288,8 +256,7 @@ fn parse_args() -> Args {
                     "repro [ARTIFACT...] [--sites N | --quick | --full] [--seed S] \
                      [--fault-plan reliable|default|hostile|PATH.json] [--gap-scenarios] \
                      [--trace-out [PATH]] [--trace-summary] [--metrics-out FILE] [--report] \
-                     [--serve-bench [PATH]] \
-                     [--serve-daemon [PATH]] [--serve-core threaded|reactor] \
+                     [--serve-daemon [PATH]] \
                      [--port N] [--loadgen ADDR] [--dataset-out FILE] \
                      [--dist N] [--chaos-kill-workers] [--dist-checkpoint PATH] \
                      [--dist-worker [PATH]]\n\
@@ -311,9 +278,7 @@ fn parse_args() -> Args {
         explicit_artifacts,
         scale,
         seed,
-        serve_bench,
         serve_daemon,
-        serve_core,
         port,
         loadgen,
         fault_plan,
@@ -403,15 +368,10 @@ mod daemon_signals {
 /// With `observations` from a preceding artifact build, the build's
 /// metric families are registered into the server's registry so
 /// `/v1/metrics` and `/v1/stats` expose them next to the serve counters.
-fn run_serve_daemon(
-    file_path: &str,
-    port: u16,
-    core: langcrux_serve::ServeCore,
-    observations: Option<BuildObservations>,
-) -> ! {
+fn run_serve_daemon(file_path: &str, port: u16, observations: Option<BuildObservations>) -> ! {
     #[cfg(not(unix))]
     {
-        let _ = (file_path, port, core, observations);
+        let _ = (file_path, port, observations);
         eprintln!("--serve-daemon needs unix signal handling");
         std::process::exit(2);
     }
@@ -421,7 +381,6 @@ fn run_serve_daemon(
         daemon_signals::install();
         let config = ServeConfig {
             addr: format!("127.0.0.1:{port}").parse().expect("loopback addr"),
-            core,
             ..ServeConfig::default()
         };
         let server = langcrux_serve::spawn(config).expect("bind daemon listener");
@@ -446,9 +405,7 @@ fn run_serve_daemon(
             std::process::exit(3);
         }
         eprintln!(
-            "serve daemon: http://{addr} on the {} core (pid {}, pid/port file {file_path}); \
-             SIGTERM drains",
-            core.effective().name(),
+            "serve daemon: http://{addr} (pid {}, pid/port file {file_path}); SIGTERM drains",
             std::process::id()
         );
         while !daemon_signals::stopped() {
@@ -471,9 +428,8 @@ fn run_serve_daemon(
 
 /// `--dist-worker`: run as a distributed-build worker — the audit server
 /// with the unit-RPC hook installed, advertised through a pid/port file
-/// the coordinator polls. Uses the thread-per-connection core: a unit
-/// RPC executes a whole `(country, chunk)` work unit, far beyond the
-/// reactor's run-to-completion window for short requests.
+/// the coordinator polls. A unit RPC executes a whole `(country, chunk)`
+/// work unit on its connection's thread.
 fn run_dist_worker(file_path: &str, port: u16) -> ! {
     #[cfg(not(unix))]
     {
@@ -483,7 +439,7 @@ fn run_dist_worker(file_path: &str, port: u16) -> ! {
     }
     #[cfg(unix)]
     {
-        use langcrux_serve::{RpcHook, ServeConfig, ServeCore};
+        use langcrux_serve::{RpcHook, ServeConfig};
         use std::sync::Arc;
         daemon_signals::install();
         let state = Arc::new(langcrux_core::WorkerState::new());
@@ -501,7 +457,6 @@ fn run_dist_worker(file_path: &str, port: u16) -> ! {
         }));
         let config = ServeConfig {
             addr: format!("127.0.0.1:{port}").parse().expect("loopback addr"),
-            core: ServeCore::Threaded,
             rpc: Some(hook),
             ..ServeConfig::default()
         };
@@ -531,13 +486,27 @@ fn run_dist_worker(file_path: &str, port: u16) -> ! {
 /// `--loadgen ADDR`: quick load-gen against an external (daemon) server.
 fn run_external_loadgen(addr: &str, seed: u64) -> ! {
     let addr: std::net::SocketAddr = addr.parse().expect("--loadgen needs host:port");
-    let pages = langcrux_bench::serve_bench::bench_pages(seed, 24);
+    let pages = bench_pages(seed, 24);
     let run = langcrux_serve::run_load(addr, &pages, 4, 96).expect("load run against daemon");
     eprintln!(
         "loadgen vs {addr}: {} requests, {} errors, {:.1} req/s (p50 {:.2} ms, p99 {:.2} ms)",
         run.requests, run.errors, run.req_per_sec, run.p50_ms, run.p99_ms
     );
     std::process::exit(if run.errors == 0 { 0 } else { 1 });
+}
+
+/// Render `pages` distinct localized corpus pages, cycling countries so
+/// the load spans every script family the study covers.
+fn bench_pages(seed: u64, pages: usize) -> Vec<String> {
+    use langcrux_net::ContentVariant;
+    use langcrux_webgen::{render, SitePlan};
+    (0..pages)
+        .map(|i| {
+            let country = Country::STUDY[i % Country::STUDY.len()];
+            let plan = SitePlan::build(seed, country, i as u32, Some(true));
+            render(&plan, ContentVariant::Localized, "/").0
+        })
+        .collect()
 }
 
 fn needs_dataset(artifacts: &[String]) -> bool {
@@ -566,47 +535,13 @@ fn main() {
     if let Some(addr) = &args.loadgen {
         run_external_loadgen(addr, args.seed);
     }
-    if let Some(path) = &args.serve_bench {
-        let config = langcrux_bench::serve_bench::ServeBenchConfig::for_scale(args.scale);
-        eprintln!(
-            "serve bench: {} pages × (1 cold + {} hot) passes over {} connections …",
-            config.pages, config.rounds, config.connections
-        );
-        let report = langcrux_bench::serve_bench::serve_bench_report(args.seed, config);
-        eprintln!(
-            "  cold {:>8.1} req/s (p50 {:.2} ms, p99 {:.2} ms)",
-            report.cold.req_per_sec, report.cold.p50_ms, report.cold.p99_ms
-        );
-        eprintln!(
-            "  hot  {:>8.1} req/s (p50 {:.2} ms, p99 {:.2} ms) — {:.1}× cold",
-            report.hot.req_per_sec, report.hot.p50_ms, report.hot.p99_ms, report.hot_vs_cold
-        );
-        eprintln!(
-            "  bounded {:>5.1} req/s with the governor at cap == connections — {:.2}× hot",
-            report.bounded.req_per_sec, report.bounded_vs_hot
-        );
-        for entry in &report.high_concurrency.cores {
-            eprintln!(
-                "  high-concurrency [{:>8}]: {:>8.1} req/s hot-only vs {:>8.1} req/s with {} \
-                 idle conns — flat ratio {:.3}",
-                entry.core,
-                entry.hot_baseline.req_per_sec,
-                entry.high.hot.req_per_sec,
-                entry.high.idle_connections,
-                entry.flat_ratio,
-            );
+    // The daemon stands in for the implicit `all` run, but explicitly
+    // named artifacts alongside it are still produced (no silent drop) —
+    // and an artifact-less daemon starts without a build.
+    if let Some(path) = &args.serve_daemon {
+        if !args.explicit_artifacts {
+            run_serve_daemon(path, args.port, None);
         }
-        langcrux_bench::serve_bench::write_serve_json(path, &report).expect("write serve json");
-        eprintln!("wrote {path}");
-    }
-    // The serve bench and the daemon stand in for the implicit `all` run,
-    // but explicitly named artifacts alongside them are still produced (no
-    // silent drop) — and an artifact-less daemon starts without a build.
-    if (args.serve_bench.is_some() || args.serve_daemon.is_some()) && !args.explicit_artifacts {
-        if let Some(path) = &args.serve_daemon {
-            run_serve_daemon(path, args.port, args.serve_core, None);
-        }
-        return;
     }
     let all = args.artifacts.iter().any(|a| a == "all");
     let wants = |name: &str| all || args.artifacts.iter().any(|a| a == name);
@@ -958,6 +893,6 @@ fn main() {
         }
     }
     if let Some(path) = &args.serve_daemon {
-        run_serve_daemon(path, args.port, args.serve_core, observations);
+        run_serve_daemon(path, args.port, observations);
     }
 }

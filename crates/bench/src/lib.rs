@@ -6,14 +6,11 @@
 //! processes.
 //!
 //! * [`dist`] spawns and drives the worker processes of `repro --dist`.
-//! * [`serve_bench`] writes the `BENCH_serve.json` record behind
-//!   `repro --serve-bench`, and builds the page set `repro --loadgen`
-//!   sends.
 //!
-//! Build timings come from `perfbench/` (see `docs/benchmarks.md`).
+//! Build and serve timings come from `perfbench/` (see
+//! `docs/benchmarks.md`).
 
 pub mod dist;
-pub mod serve_bench;
 
 use langcrux_core::{build_dataset_with_ledger, CrawlLedger, Dataset, PipelineOptions};
 use langcrux_crawl::BrowserConfig;

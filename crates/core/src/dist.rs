@@ -60,7 +60,7 @@ use langcrux_net::{vpn_vantage, FaultPlan};
 use langcrux_obs as obs;
 use langcrux_webgen::{Corpus, CorpusConfig};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, ObjectWriter, Serialize};
 use std::collections::HashMap;
 use std::collections::VecDeque;
 use std::io::{BufRead, BufReader, Write};
@@ -804,7 +804,8 @@ struct CheckpointHeader {
 }
 
 /// One completed unit: its stable key and the verdicts it produced.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// [`CheckpointLog::append`] writes the same fields, in this order.
+#[derive(Debug, Clone, Deserialize)]
 struct CheckpointEntry {
     unit: String,
     verdicts: Vec<WireVerdict>,
@@ -881,16 +882,18 @@ impl CheckpointLog {
     /// this returns.
     fn append(&mut self, unit: &str, verdicts: &[WireVerdict]) {
         let Some(file) = &mut self.file else { return };
-        let entry = CheckpointEntry {
-            unit: unit.to_string(),
-            verdicts: verdicts.to_vec(),
-        };
-        writeln!(
-            file,
-            "{}",
-            serde_json::to_string(&entry).expect("serialize checkpoint entry")
-        )
-        .expect("append checkpoint entry");
+        // The bytes of a `CheckpointEntry`, written from the borrowed
+        // verdicts: the derive rejects a struct with a lifetime.
+        let mut line = String::new();
+        let mut entry = ObjectWriter::new(&mut line);
+        entry
+            .field("unit", unit)
+            .expect("serialize checkpoint unit");
+        entry
+            .field("verdicts", verdicts)
+            .expect("serialize checkpoint verdicts");
+        entry.end();
+        writeln!(file, "{line}").expect("append checkpoint entry");
         file.flush().expect("flush checkpoint log");
     }
 }

@@ -4,9 +4,9 @@
 //! walk ([`crate::stream::stream_extract`]) and the crawler's extract
 //! sink keep their working buffers in thread-local slots between pages,
 //! so a warm thread extracts a page allocating only the buffers it
-//! returns. The callers (build pool workers, the serve reactor and batch
-//! pool) keep their one-argument entry points. Two rules bound the
-//! scratch:
+//! returns. The callers (build pool workers, the serve connection threads
+//! and batch pool) keep their one-argument entry points. Two rules bound
+//! the scratch:
 //!
 //! * A call *takes* its thread's slot and puts it back when it returns.
 //!   A nested call on the same thread finds the slot empty and works in

@@ -508,7 +508,6 @@ pub fn reason_phrase(status: u16) -> &'static str {
         405 => "Method Not Allowed",
         408 => "Request Timeout",
         413 => "Payload Too Large",
-        429 => "Too Many Requests",
         431 => "Request Header Fields Too Large",
         500 => "Internal Server Error",
         501 => "Not Implemented",
@@ -680,21 +679,6 @@ pub fn shed_response_bytes(retry_after_secs: u32) -> Vec<u8> {
     let body = format!("{{\"error\":\"server at connection capacity\",\"status\":503,\"retry_after\":{retry_after_secs}}}");
     format!(
         "HTTP/1.1 503 Service Unavailable\r\nContent-Type: application/json\r\nContent-Length: {}\r\nRetry-After: {retry_after_secs}\r\nConnection: close\r\n\r\n{body}",
-        body.len()
-    )
-    .into_bytes()
-}
-
-/// The fairness limiter's refusal: a fully serialized
-/// `429 Too Many Requests` with a `Retry-After` hint, mirroring the
-/// governor's 503 shed answer one layer up — hand-assembled for the
-/// same reason ([`Response`] has no extra-header slot).
-pub fn rate_limited_response_bytes(retry_after_secs: u32) -> Vec<u8> {
-    let body = format!(
-        "{{\"error\":\"per-client rate limit exceeded\",\"status\":429,\"retry_after\":{retry_after_secs}}}"
-    );
-    format!(
-        "HTTP/1.1 429 Too Many Requests\r\nContent-Type: application/json\r\nContent-Length: {}\r\nRetry-After: {retry_after_secs}\r\nConnection: close\r\n\r\n{body}",
         body.len()
     )
     .into_bytes()
@@ -1110,23 +1094,6 @@ mod tests {
         assert!(text.contains("Transfer-Encoding: chunked\r\n"));
         assert!(!text.contains("Content-Length"));
         assert!(text.ends_with("\r\n\r\n"));
-    }
-
-    #[test]
-    fn rate_limited_response_carries_retry_after() {
-        let text = String::from_utf8(rate_limited_response_bytes(2)).unwrap();
-        assert!(text.starts_with("HTTP/1.1 429 Too Many Requests\r\n"));
-        assert!(text.contains("Retry-After: 2\r\n"));
-        assert!(text.contains("Connection: close\r\n"));
-        let (head, body) = text.split_once("\r\n\r\n").unwrap();
-        let declared: usize = head
-            .lines()
-            .find_map(|l| l.strip_prefix("Content-Length: "))
-            .unwrap()
-            .parse()
-            .unwrap();
-        assert_eq!(declared, body.len());
-        assert!(body.contains("\"status\":429"));
     }
 
     #[test]

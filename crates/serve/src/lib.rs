@@ -20,28 +20,19 @@
 //! * [`service`] — the audit engine façade: HTML in, deterministic
 //!   [`AuditResponse`] JSON out (fused extraction, `audit::rules`,
 //!   Kizuki rescoring via the carried histogram, speak-order pass).
-//! * [`server`] — the connection engines behind a [`ServeCore`]
-//!   selection: the thread-per-connection oracle and (Linux) the epoll
-//!   reactor, both driving identical routing: `POST /v1/audit`,
-//!   `POST /v1/batch` (streamed as chunked encoding while the
-//!   work-stealing pool completes units), `GET /v1/healthz`,
+//! * [`server`] — one thread per admitted connection, with a panic
+//!   while routing contained to its request (`500`, counted in
+//!   `langcrux_serve_panics_total`), and the routing behind it:
+//!   `POST /v1/audit`, `POST /v1/batch` (streamed as chunked encoding
+//!   while the work-stealing pool completes units), `GET /v1/healthz`,
 //!   `GET /v1/stats` (JSON, or the Prometheus text exposition via
 //!   `Accept: text/plain`), `GET /v1/metrics` (always Prometheus).
-//! * `reactor` (Linux) — the event-driven core: non-blocking sockets on
-//!   a raw-`epoll` readiness loop, per-connection state machines over
-//!   the same push parser, deadlines on a hashed timing wheel.
-//! * [`wheel`] — that timing wheel: tick-based, generation-cancelled,
-//!   clock-free and unit-tested without time.
-//! * [`fairness`] — per-peer token buckets (integer micro-token math on
-//!   a virtual clock): greedy peers collect `429 + Retry-After` while
-//!   quiet peers ride undisturbed.
 //! * [`batch`] — the bounded reorder window between pool workers and the
 //!   streaming batch writer (`peak_batch_buffer` gauge).
-//! * [`stats`] — request counters (incl. shed/timeout) and a lock-free
-//!   latency histogram (p50/p99) behind `GET /v1/stats`.
-//! * [`loadgen`] — loopback load generator used by `repro --serve-bench`
-//!   to produce `BENCH_serve.json` (cold vs cache-hot vs governed
-//!   req/s); its response reader understands both framings.
+//! * [`stats`] — request counters (incl. shed/timeout/panic) and a
+//!   lock-free latency histogram (p50/p99) behind `GET /v1/stats`.
+//! * [`loadgen`] — loopback load generator behind `repro --loadgen`; its
+//!   response reader understands both framings.
 //!
 //! ## Quickstart
 //!
@@ -56,28 +47,23 @@
 
 pub mod batch;
 pub mod cache;
-pub mod fairness;
 pub mod governor;
 pub mod http;
 pub mod loadgen;
 pub mod pidfile;
-#[cfg(target_os = "linux")]
-mod reactor;
 pub mod server;
 pub mod service;
 pub mod stats;
-pub mod wheel;
 
 pub use batch::{PeakGauge, StreamFanout};
 pub use cache::{CacheKey, CacheSnapshot, ShardedCache};
-pub use fairness::{FairnessConfig, PeerLimiter, TokenBucket};
 pub use governor::{Admission, Governor};
 pub use http::{Limits, ParseError, Request, RequestParser, Response};
-pub use loadgen::{run_idle_load, run_load, IdleLoadRun, LoadGenRun};
+pub use loadgen::{run_load, LoadGenRun};
 pub use pidfile::{claim as claim_pidfile, examine as examine_pidfile, PidFileDoc, PidFileStatus};
 pub use server::{
-    batch_buffered, encode_stats, prometheus_text, route, spawn, ReactorSnapshot, Routed, RpcHook,
-    ServeConfig, ServeCore, ServeState, ServerHandle, StatsSnapshot,
+    batch_buffered, encode_stats, prometheus_text, route, spawn, Routed, RpcHook, ServeConfig,
+    ServeState, ServerHandle, StatsSnapshot,
 };
 pub use service::{AuditResponse, AuditService, ScriptSlice};
 pub use stats::{

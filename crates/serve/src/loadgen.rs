@@ -3,11 +3,8 @@
 //! Drives a running server with `connections` concurrent keep-alive
 //! clients, each issuing `POST /v1/audit` requests round-robin over a
 //! shared page list, and reports throughput plus exact (not bucketed)
-//! p50/p99 client-side latency. The `repro --serve-bench` harness runs it
-//! twice — once over all-distinct pages (cold: every request is a cache
-//! miss and a full parse+audit) and once re-visiting the same pages (hot:
-//! every request answers from the sharded cache) — and writes both runs
-//! to `BENCH_serve.json`.
+//! p50/p99 client-side latency. `repro --loadgen ADDR` runs it against a
+//! live daemon and exits non-zero on any failed request.
 
 use serde::Serialize;
 use std::io::{Read, Write};
@@ -238,53 +235,6 @@ pub fn run_load(
     })
 }
 
-/// One high-concurrency run: a large fleet of mostly-idle keep-alive
-/// connections held open for the whole measurement while a hot subset
-/// drives audits at full tilt.
-#[derive(Debug, Clone, Serialize)]
-pub struct IdleLoadRun {
-    /// Idle keep-alive connections held open during the hot run.
-    pub idle_connections: usize,
-    /// The hot subset's measured run.
-    pub hot: LoadGenRun,
-}
-
-/// Hold `idle_connections` keep-alive connections open (each completes
-/// one `/v1/healthz` round-trip so it is fully registered server-side,
-/// then sits silent) while `hot_connections` drive `total_requests`
-/// audits. This is the reactor's design case — mostly-idle fleets cost
-/// a thread each on the threaded core but only a registered fd plus an
-/// idle wheel entry on the reactor.
-pub fn run_idle_load(
-    addr: SocketAddr,
-    pages: &[String],
-    idle_connections: usize,
-    hot_connections: usize,
-    total_requests: usize,
-) -> std::io::Result<IdleLoadRun> {
-    let mut idle: Vec<TcpStream> = Vec::with_capacity(idle_connections);
-    let mut scratch = Vec::new();
-    for i in 0..idle_connections {
-        let mut stream = TcpStream::connect(addr)?;
-        stream.set_nodelay(true)?;
-        stream.set_read_timeout(Some(Duration::from_secs(30)))?;
-        scratch.clear();
-        let (status, _body) = get(&mut stream, "/v1/healthz", &mut scratch)?;
-        if status != 200 {
-            return Err(std::io::Error::other(format!(
-                "idle connection {i} refused with status {status}"
-            )));
-        }
-        idle.push(stream);
-    }
-    let hot = run_load(addr, pages, hot_connections, total_requests)?;
-    drop(idle);
-    Ok(IdleLoadRun {
-        idle_connections,
-        hot,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -311,24 +261,6 @@ mod tests {
         assert_eq!(stats.cache.misses, 6);
         assert_eq!(stats.cache.hits, 18);
         assert_eq!(stats.requests.audit, 24);
-    }
-
-    #[test]
-    fn idle_fleet_rides_along_without_disturbing_the_hot_subset() {
-        let server = spawn(ServeConfig {
-            max_connections: 128,
-            ..ServeConfig::default()
-        })
-        .expect("spawn server");
-        let pages = vec![PAGE.to_string()];
-        let run = run_idle_load(server.addr(), &pages, 32, 2, 16).expect("idle load run");
-        assert_eq!(run.idle_connections, 32);
-        assert_eq!(run.hot.requests, 16);
-        assert_eq!(run.hot.errors, 0);
-        let stats = server.shutdown();
-        // Every idle connection completed its healthz registration.
-        assert_eq!(stats.requests.healthz, 32);
-        assert_eq!(stats.requests.audit, 16);
     }
 
     #[test]

@@ -1,10 +1,7 @@
-//! The HTTP server: two selectable connection cores behind one
-//! `spawn()` — the original thread-per-connection loop (the behavioural
-//! oracle) and the epoll reactor (`crate::reactor`, the scaling core) —
-//! plus routing and the streaming batch writer shared by both.
+//! The HTTP server: one thread per admitted connection, plus routing
+//! and the streaming batch writer.
 //!
-//! Thread-per-connection architecture (std-only, one OS thread per
-//! admitted connection; [`ServeCore::Threaded`]):
+//! Architecture (std-only, one OS thread per admitted connection):
 //!
 //! ```text
 //! spawn() ──► accept thread ──► Governor ──► connection threads
@@ -21,11 +18,14 @@
 //!                    accept + connections (in-flight requests finish).
 //! ```
 //!
-//! [`ServeCore::Reactor`] replaces the per-connection threads with one
-//! event loop over non-blocking sockets (see `crate::reactor`); the
-//! governor, parser, router, and batch writer are the same objects, so
-//! the two cores answer byte-identical responses — pinned by the
-//! differential proptest and the core-parameterized torture suite.
+//! A panic while routing one request is contained on its connection's
+//! thread: the client gets `500` with `Connection: close`, the panic is
+//! counted, and the thread returns its governor slot.
+//!
+//! Each admitted connection costs one thread, which wakes every 50 ms
+//! on its read timeout to check the idle and request deadlines and the
+//! shutdown flag. `ServeConfig::max_connections` bounds those threads;
+//! arrivals beyond it queue, then shed.
 //!
 //! Batch requests fan their pages out over the workspace's work-stealing
 //! pool (`crawl::pool::run_work_stealing`) so a many-page batch uses
@@ -38,7 +38,6 @@
 
 use crate::batch::{PeakGauge, StreamFanout};
 use crate::cache::{CacheSnapshot, ShardedCache};
-use crate::fairness::{FairnessConfig, PeerLimiter};
 use crate::governor::{Admission, Governor};
 use crate::http::{self, Limits, Request, RequestParser, Response};
 use crate::service::AuditService;
@@ -48,59 +47,13 @@ use langcrux_obs as obs;
 use serde::{Serialize, Value};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// `Retry-After` hint (seconds) on governor-shed 503 responses.
-pub(crate) const RETRY_AFTER_SECS: u32 = 1;
-
-/// Which connection engine drives accepted sockets.
-///
-/// Both cores share the governor, parser, router, cache, and batch
-/// writer; they differ only in how readiness and deadlines are
-/// delivered. `Threaded` burns one OS thread per admitted connection
-/// (simple, and kept as the behavioural oracle); `Reactor` multiplexes
-/// every connection over one epoll event loop with a deadline wheel —
-/// the core that holds throughput flat under thousands of mostly-idle
-/// keep-alive connections.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ServeCore {
-    /// One OS thread per admitted connection (the original core).
-    Threaded,
-    /// One event loop over non-blocking sockets + raw `epoll` FFI.
-    /// Falls back to `Threaded` off Linux (epoll is Linux-only).
-    Reactor,
-}
-
-impl ServeCore {
-    /// Both cores, for parameterizing tests and benches.
-    pub const ALL: [ServeCore; 2] = [ServeCore::Threaded, ServeCore::Reactor];
-
-    /// The core that will actually run on this platform.
-    pub fn effective(self) -> ServeCore {
-        if cfg!(target_os = "linux") {
-            self
-        } else {
-            ServeCore::Threaded
-        }
-    }
-
-    /// Stable lowercase name for bench records and logs.
-    pub fn name(self) -> &'static str {
-        match self {
-            ServeCore::Threaded => "threaded",
-            ServeCore::Reactor => "reactor",
-        }
-    }
-}
-
-impl Default for ServeCore {
-    /// The reactor is the production default where it exists.
-    fn default() -> Self {
-        ServeCore::Reactor.effective()
-    }
-}
+const RETRY_AFTER_SECS: u32 = 1;
 
 /// An embedder-installed handler for `POST /v1/rpc/<name>` requests:
 /// `(name, body) -> Some((status, json_body))`, or `None` for an unknown
@@ -108,11 +61,10 @@ impl Default for ServeCore {
 /// build's unit-execution endpoint on worker processes without the serve
 /// crate knowing anything about the pipeline.
 ///
-/// The hook runs on whichever thread routed the request — a connection
-/// thread under the threaded core, the event loop under the reactor.
-/// Long-running hooks (like distributed work units) should therefore be
-/// served with [`ServeCore::Threaded`]; the reactor core's
-/// run-to-completion discipline is sized for short audit requests.
+/// The hook runs on the connection's own thread, so a long-running hook
+/// (a distributed work unit) holds only its own connection. A hook that
+/// panics is answered `500` and counted like any other panic while
+/// routing.
 #[derive(Clone)]
 pub struct RpcHook(pub Arc<RpcHandler>);
 
@@ -153,21 +105,13 @@ pub struct ServeConfig {
     /// Streaming-batch reorder window in elements (0 = auto: twice the
     /// batch worker count). Bounds batch memory at O(window × element).
     pub batch_window: usize,
-    /// Which connection engine drives accepted sockets.
-    pub core: ServeCore,
-    /// Per-peer token-bucket rate limiting (`None` = off). Enforced by
-    /// both cores at request admission: a request from a drained bucket
-    /// answers `429 + Retry-After` and closes the connection.
-    pub fairness: Option<FairnessConfig>,
     /// Cap on a `POST /v1/batch` (or `/v1/rpc/*`) body in bytes; larger
-    /// bodies answer `413`. This is the bound on the reactor core's
-    /// run-to-completion window: the event loop streams a batch to
-    /// completion while other connections wait (`run_batch_blocking` in
-    /// the reactor), so the blocking stretch is proportional to batch
-    /// size — capping the bytes caps the stall. Enforced in the shared
-    /// router, so both cores shed identically. Tighter than
-    /// [`Limits::max_body_bytes`], which bounds what the *parser* will
-    /// buffer for any request.
+    /// bodies answer `413`. This bounds the work one request can ask
+    /// for: a batch audits every page it carries, and an RPC runs to
+    /// completion on its connection's thread, so capping the bytes caps
+    /// how long one request holds a slot and the batch pool. Tighter
+    /// than [`Limits::max_body_bytes`], which bounds what the *parser*
+    /// will buffer for any request.
     pub max_batch_bytes: usize,
     /// Embedder RPC handler for `POST /v1/rpc/*` (`None` = 404).
     pub rpc: Option<RpcHook>,
@@ -187,8 +131,6 @@ impl Default for ServeConfig {
             request_deadline: Duration::from_secs(5),
             write_timeout: Duration::from_secs(5),
             batch_window: 0,
-            core: ServeCore::default(),
-            fairness: None,
             max_batch_bytes: 2 * 1024 * 1024,
             rpc: None,
         }
@@ -210,50 +152,12 @@ pub struct ServeState {
     /// here after a build, so `/v1/metrics` and `/v1/stats` export it
     /// alongside the server's own counters.
     pub extra: obs::Registry,
-    /// The per-peer fairness limiter, when configured. Shared by every
-    /// connection of this server so a peer's budget spans reconnects.
-    pub fairness: Option<PeerLimiter>,
-    /// Reactor-core telemetry (zero while the threaded core runs).
-    pub reactor: ReactorGauges,
     batch_threads: usize,
     /// See [`ServeConfig::max_batch_bytes`].
     max_batch_bytes: usize,
     /// See [`ServeConfig::rpc`].
     rpc: Option<RpcHook>,
     started: Instant,
-}
-
-/// Observable reactor internals, exported on `/v1/metrics`: how many
-/// readiness events the loop has consumed, how many connections are
-/// currently armed in epoll, and how many deadline-wheel entries are
-/// outstanding.
-#[derive(Default)]
-pub struct ReactorGauges {
-    /// Total readiness events returned by `epoll_wait` (counter).
-    pub ready_events: AtomicU64,
-    /// Connections currently registered with the reactor (gauge).
-    pub armed_connections: AtomicU64,
-    /// Entries outstanding in the deadline wheel (gauge; includes
-    /// lazily-cancelled stale entries awaiting their tick).
-    pub wheel_depth: AtomicU64,
-}
-
-impl ReactorGauges {
-    pub fn snapshot(&self) -> ReactorSnapshot {
-        ReactorSnapshot {
-            ready_events: self.ready_events.load(Ordering::Relaxed),
-            armed_connections: self.armed_connections.load(Ordering::Relaxed),
-            wheel_depth: self.wheel_depth.load(Ordering::Relaxed),
-        }
-    }
-}
-
-/// The `reactor` object inside `GET /v1/stats`.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
-pub struct ReactorSnapshot {
-    pub ready_events: u64,
-    pub armed_connections: u64,
-    pub wheel_depth: u64,
 }
 
 /// The `GET /v1/stats` document.
@@ -265,8 +169,6 @@ pub struct StatsSnapshot {
     pub latency: LatencySnapshot,
     /// Peak bytes buffered by any streaming batch (reorder window).
     pub peak_batch_buffer: u64,
-    /// Reactor-core internals (all zero under the threaded core).
-    pub reactor: ReactorSnapshot,
 }
 
 impl ServeState {
@@ -278,8 +180,6 @@ impl ServeState {
             latency: LatencyHistogram::default(),
             peak_batch_buffer: PeakGauge::default(),
             extra: obs::Registry::new(),
-            fairness: config.fairness.map(PeerLimiter::new),
-            reactor: ReactorGauges::default(),
             batch_threads: config.batch_threads,
             max_batch_bytes: config.max_batch_bytes,
             rpc: config.rpc.clone(),
@@ -294,7 +194,6 @@ impl ServeState {
             cache: self.cache.snapshot(),
             latency: self.latency.snapshot(),
             peak_batch_buffer: self.peak_batch_buffer.get() as u64,
-            reactor: self.reactor.snapshot(),
         }
     }
 
@@ -407,9 +306,9 @@ pub fn encode_stats(stats: &StatsSnapshot, enc: &mut obs::Encoder) {
         r.timeouts as f64,
     );
     enc.counter(
-        "langcrux_serve_rate_limited_total",
-        "Requests refused with 429 by the per-peer fairness limiter.",
-        r.rate_limited as f64,
+        "langcrux_serve_panics_total",
+        "Requests whose handling panicked (answered 500, or their batch stream cut).",
+        r.panics as f64,
     );
     let c = &stats.cache;
     enc.counter(
@@ -453,22 +352,6 @@ pub fn encode_stats(stats: &StatsSnapshot, enc: &mut obs::Encoder) {
         "langcrux_serve_peak_batch_buffer_bytes",
         "Peak bytes parked in a streaming-batch reorder window.",
         stats.peak_batch_buffer as f64,
-    );
-    let rx = &stats.reactor;
-    enc.counter(
-        "langcrux_serve_reactor_ready_events_total",
-        "Readiness events consumed by the reactor's epoll loop.",
-        rx.ready_events as f64,
-    );
-    enc.gauge(
-        "langcrux_serve_reactor_armed_connections",
-        "Connections currently registered with the reactor.",
-        rx.armed_connections as f64,
-    );
-    enc.gauge(
-        "langcrux_serve_reactor_wheel_depth",
-        "Deadline-wheel entries outstanding (incl. stale lazy-cancelled).",
-        rx.wheel_depth as f64,
     );
 }
 
@@ -545,9 +428,8 @@ pub fn route(state: &ServeState, request: &Request) -> Routed {
             full(Response::json(200, bytes, keep))
         }
         ("POST", "/v1/batch") => {
-            // Satellite guard for the reactor's run-to-completion batch
-            // handoff: bound how long one batch can pin the event loop
-            // by bounding its bytes (see [`ServeConfig::max_batch_bytes`]).
+            // Bound one batch's work by bounding its bytes (see
+            // [`ServeConfig::max_batch_bytes`]).
             if request.body.len() > state.max_batch_bytes {
                 state.counters.errors.fetch_add(1, relaxed);
                 return full(Response::error(
@@ -611,7 +493,7 @@ pub fn route(state: &ServeState, request: &Request) -> Routed {
         ("POST", path) if path.starts_with("/v1/rpc/") => {
             // Embedder RPC (e.g. distributed-build work units). The same
             // byte cap as /v1/batch applies: an RPC body is executed
-            // run-to-completion by whichever thread routed it.
+            // run-to-completion on its connection's thread.
             if request.body.len() > state.max_batch_bytes {
                 state.counters.errors.fetch_add(1, relaxed);
                 return full(Response::error(
@@ -685,7 +567,7 @@ pub fn batch_buffered(state: &ServeState, pages: &[String]) -> Vec<u8> {
 /// order as the work-stealing pool completes them, at most a bounded
 /// reorder window of elements in memory. The de-chunked bytes are
 /// byte-identical to [`batch_buffered`] for the same pages.
-pub(crate) fn stream_batch(
+fn stream_batch(
     stream: &mut TcpStream,
     state: &ServeState,
     config: &ServeConfig,
@@ -755,7 +637,9 @@ pub(crate) fn stream_batch(
         // Join the pool explicitly to consume a propagated unit panic —
         // an unjoined panicked scope thread would re-panic this
         // connection thread at scope exit and leak its governor slot.
-        let _ = pool.join();
+        if pool.join().is_err() {
+            state.counters.panics.fetch_add(1, Ordering::Relaxed);
+        }
     });
     state.peak_batch_buffer.observe(fanout.peak_bytes());
     if io_result.is_ok() {
@@ -811,30 +695,22 @@ impl Drop for ServerHandle {
     }
 }
 
-/// Start the server with the configured [`ServeCore`]. Returns once the
-/// listener is bound, with the connection engine running in the
-/// background. Both cores sit behind the same [`ServerHandle`]:
-/// `shutdown()` is flag + self-connect + join either way.
+/// Start the server. Returns once the listener is bound, with the
+/// accept loop running on a background thread; [`ServerHandle::shutdown`]
+/// stops it with a flag and a self-connect, then joins it.
 pub fn spawn(config: ServeConfig) -> std::io::Result<ServerHandle> {
     let listener = TcpListener::bind(config.addr)?;
     let addr = listener.local_addr()?;
     let state = Arc::new(ServeState::new(&config));
     let shutdown = Arc::new(AtomicBool::new(false));
 
-    let core = config.core.effective();
     let accept = {
         let state = Arc::clone(&state);
         let shutdown = Arc::clone(&shutdown);
         std::thread::Builder::new()
-            .name(format!("serve-{}", core.name()))
-            .spawn(move || match core {
-                ServeCore::Threaded => accept_loop(listener, state, shutdown, config),
-                #[cfg(target_os = "linux")]
-                ServeCore::Reactor => crate::reactor::run(listener, state, shutdown, config),
-                #[cfg(not(target_os = "linux"))]
-                ServeCore::Reactor => unreachable!("effective() falls back off Linux"),
-            })
-            .expect("spawn connection-engine thread")
+            .name("serve-accept".to_string())
+            .spawn(move || accept_loop(listener, state, shutdown, config))
+            .expect("spawn accept thread")
     };
 
     Ok(ServerHandle {
@@ -845,7 +721,7 @@ pub fn spawn(config: ServeConfig) -> std::io::Result<ServerHandle> {
     })
 }
 
-pub(crate) fn accept_loop(
+fn accept_loop(
     listener: TcpListener,
     state: Arc<ServeState>,
     shutdown: Arc<AtomicBool>,
@@ -993,21 +869,30 @@ fn handle_connection(
                     // (parser never empty) would be cut off with a
                     // spurious 408 after request_deadline.
                     request_started = None;
-                    // Per-peer fairness: a drained token bucket answers
-                    // 429 + Retry-After and closes, before routing.
-                    if let Some(limiter) = &state.fairness {
-                        if let Ok(peer) = stream.peer_addr() {
-                            if !limiter.admit(peer.ip()) {
-                                state.counters.rate_limited.fetch_add(1, Ordering::Relaxed);
-                                let _ = stream.write_all(&http::rate_limited_response_bytes(
-                                    limiter.retry_after_secs(),
-                                ));
-                                return Ok(());
-                            }
-                        }
-                    }
                     let started = Instant::now();
-                    let keep = match route(state, &request) {
+                    // AssertUnwindSafe holds because nothing `route` can
+                    // leave half-updated survives the unwind in a broken
+                    // state: the counters, latency histogram and cache
+                    // statistics are atomics; the cache computes outside
+                    // its shard locks, which are `parking_lot` mutexes
+                    // (released on unwind, never poisoned); the metrics
+                    // registry recovers its lock from poisoning; and the
+                    // extraction scratch drops whatever a panicking call
+                    // took. An RPC hook's own state is the embedder's.
+                    let routed = match catch_unwind(AssertUnwindSafe(|| route(state, &request))) {
+                        Ok(routed) => routed,
+                        Err(_) => {
+                            // Answer and close, then return so the
+                            // caller releases the slot.
+                            state.counters.panics.fetch_add(1, Ordering::Relaxed);
+                            let response =
+                                Response::error(500, "internal error handling the request", false);
+                            response.write_into(&mut write_buf);
+                            let _ = stream.write_all(&write_buf);
+                            return Ok(());
+                        }
+                    };
+                    let keep = match routed {
                         Routed::Response(response) => {
                             response.write_into(&mut write_buf);
                             stream.write_all(&write_buf)?;
@@ -1492,21 +1377,6 @@ mod tests {
             405
         );
         assert_eq!(state.counters.snapshot().errors, 3);
-    }
-
-    #[test]
-    fn serve_core_selection_and_fallback() {
-        assert_eq!(ServeCore::ALL, [ServeCore::Threaded, ServeCore::Reactor]);
-        assert_eq!(ServeCore::Threaded.name(), "threaded");
-        assert_eq!(ServeCore::Reactor.name(), "reactor");
-        assert_eq!(ServeCore::Threaded.effective(), ServeCore::Threaded);
-        if cfg!(target_os = "linux") {
-            assert_eq!(ServeCore::default(), ServeCore::Reactor);
-            assert_eq!(ServeCore::Reactor.effective(), ServeCore::Reactor);
-        } else {
-            assert_eq!(ServeCore::default(), ServeCore::Threaded);
-            assert_eq!(ServeCore::Reactor.effective(), ServeCore::Threaded);
-        }
     }
 
     #[test]

@@ -183,9 +183,9 @@ pub struct RequestCounters {
     pub shed: AtomicU64,
     /// Connections closed with `408` by the request deadline (slowloris).
     pub timeouts: AtomicU64,
-    /// Requests refused with `429 + Retry-After` by the per-peer
-    /// fairness limiter (token bucket per client IP).
-    pub rate_limited: AtomicU64,
+    /// Requests whose handling panicked: answered `500` and closed, or,
+    /// for a streamed batch, cut mid-stream when a pool worker panicked.
+    pub panics: AtomicU64,
 }
 
 impl RequestCounters {
@@ -200,7 +200,7 @@ impl RequestCounters {
             errors: self.errors.load(Ordering::Relaxed),
             shed: self.shed.load(Ordering::Relaxed),
             timeouts: self.timeouts.load(Ordering::Relaxed),
-            rate_limited: self.rate_limited.load(Ordering::Relaxed),
+            panics: self.panics.load(Ordering::Relaxed),
         }
     }
 }
@@ -216,7 +216,7 @@ pub struct RequestSnapshot {
     pub errors: u64,
     pub shed: u64,
     pub timeouts: u64,
-    pub rate_limited: u64,
+    pub panics: u64,
 }
 
 impl RequestSnapshot {
@@ -342,20 +342,20 @@ mod tests {
         c.errors.fetch_add(2, Ordering::Relaxed);
         c.shed.fetch_add(5, Ordering::Relaxed);
         c.timeouts.fetch_add(1, Ordering::Relaxed);
-        c.rate_limited.fetch_add(4, Ordering::Relaxed);
+        c.panics.fetch_add(4, Ordering::Relaxed);
         let snap = c.snapshot();
         assert_eq!(
             snap.total(),
             4,
-            "shed/timeout/rate-limited requests never routed"
+            "shed/timeout/panicked requests never routed"
         );
         assert_eq!(snap.errors, 2);
         assert_eq!(snap.shed, 5);
         assert_eq!(snap.timeouts, 1);
-        assert_eq!(snap.rate_limited, 4);
+        assert_eq!(snap.panics, 4);
         let json = serde_json::to_string(&snap).unwrap();
         assert!(json.contains("\"shed\":5"));
         assert!(json.contains("\"timeouts\":1"));
-        assert!(json.contains("\"rate_limited\":4"));
+        assert!(json.contains("\"panics\":4"));
     }
 }

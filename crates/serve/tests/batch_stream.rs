@@ -6,9 +6,8 @@
 //! (asserted via the `peak_batch_buffer` gauge on `/v1/stats`).
 
 use langcrux_serve::loadgen::{get, post};
-use langcrux_serve::{batch_buffered, spawn, ServeConfig, ServeCore, ServerHandle};
+use langcrux_serve::{batch_buffered, spawn, ServeConfig, ServerHandle};
 
-mod common;
 use langcrux_webgen::{render, SitePlan};
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -29,12 +28,7 @@ fn connect(server: &ServerHandle) -> TcpStream {
 
 #[test]
 fn streamed_batch_bytes_equal_buffered_oracle() {
-    common::for_each_core(streamed_batch_equals_buffered);
-}
-
-fn streamed_batch_equals_buffered(core: ServeCore) {
     let server = spawn(ServeConfig {
-        core,
         batch_threads: 3,
         ..ServeConfig::default()
     })
@@ -66,17 +60,9 @@ fn streamed_batch_equals_buffered(core: ServeCore) {
 
 #[test]
 fn batch_response_is_actually_chunked() {
-    common::for_each_core(batch_framing_is_chunked);
-}
-
-fn batch_framing_is_chunked(core: ServeCore) {
     // Raw socket check that the framing really is chunked encoding (the
     // loadgen client would transparently de-chunk either framing).
-    let server = spawn(ServeConfig {
-        core,
-        ..ServeConfig::default()
-    })
-    .expect("spawn");
+    let server = spawn(ServeConfig::default()).expect("spawn");
     let mut stream = connect(&server);
     let payload = serde_json::to_string(&vec![corpus_page(0)]).expect("payload");
     let head = format!(
@@ -97,15 +83,10 @@ fn batch_framing_is_chunked(core: ServeCore) {
 
 #[test]
 fn large_batch_streams_through_a_bounded_buffer() {
-    common::for_each_core(large_batch_bounded_buffer);
-}
-
-fn large_batch_bounded_buffer(core: ServeCore) {
     // A batch whose full response is far larger than the reorder window
     // can ever hold: the peak_batch_buffer gauge proves the response was
     // never materialized in one buffer.
     let server = spawn(ServeConfig {
-        core,
         batch_threads: 4,
         batch_window: 4,
         ..ServeConfig::default()

@@ -1,61 +1,30 @@
-//! Shared cross-core harness: every behavioural suite runs its body
-//! against each [`ServeCore`] — the thread-per-connection oracle and the
-//! epoll reactor — without copy-pasting test bodies. A test takes
-//! `core: ServeCore`, builds its `ServeConfig { core, .. }`, and the
-//! wrapper loops the effective cores (deduplicated off Linux, where the
-//! reactor falls back to the threaded core).
-#![allow(dead_code)]
+//! Live-server replay shared by the parser proptest suites.
 
-use langcrux_serve::{spawn, ServeConfig, ServeCore};
+use langcrux_serve::{spawn, ServeConfig};
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::time::Duration;
 
-/// The distinct cores available on this platform, in oracle-first order.
-pub fn cores() -> Vec<ServeCore> {
-    let mut cores: Vec<ServeCore> = ServeCore::ALL.iter().map(|c| c.effective()).collect();
-    cores.dedup();
-    cores
-}
-
-/// Run one test body once per available core, labelling failures with
-/// the core that produced them.
-pub fn for_each_core(test: impl Fn(ServeCore)) {
-    for core in cores() {
-        eprintln!("=== serve core: {} ===", core.name());
-        test(core);
-    }
-}
-
 /// Replay one raw request byte stream — torn in two at `cut` — against
-/// a fresh server on every core, returning each core's complete raw
-/// response stream. The client half-closes after sending, so keep-alive
-/// responses still end in EOF. Callers assert the streams are
-/// byte-identical across cores (use only deterministic-body endpoints:
-/// `/v1/healthz` and `/v1/stats` carry uptime).
-pub fn replay_torn_across_cores(raw: &[u8], cut: usize) -> Vec<(ServeCore, Vec<u8>)> {
+/// a fresh server, returning its complete raw response stream. The
+/// client half-closes after sending, so keep-alive responses still end
+/// in EOF. Callers compare a torn replay with the untorn one (`cut ==
+/// raw.len()`), so use only deterministic-body endpoints: `/v1/healthz`
+/// and `/v1/stats` carry uptime.
+pub fn replay_torn(raw: &[u8], cut: usize) -> Vec<u8> {
     let cut = cut % (raw.len() + 1);
-    cores()
-        .into_iter()
-        .map(|core| {
-            let server = spawn(ServeConfig {
-                core,
-                ..ServeConfig::default()
-            })
-            .expect("spawn");
-            let mut stream = TcpStream::connect(server.addr()).expect("connect");
-            stream.set_nodelay(true).expect("nodelay");
-            stream.write_all(&raw[..cut]).expect("first half");
-            if cut != raw.len() {
-                // A real TCP tear: let the server read a short segment.
-                std::thread::sleep(Duration::from_millis(2));
-                stream.write_all(&raw[cut..]).expect("second half");
-            }
-            let _ = stream.shutdown(std::net::Shutdown::Write);
-            let mut out = Vec::new();
-            let _ = stream.read_to_end(&mut out);
-            server.shutdown();
-            (core, out)
-        })
-        .collect()
+    let server = spawn(ServeConfig::default()).expect("spawn");
+    let mut stream = TcpStream::connect(server.addr()).expect("connect");
+    stream.set_nodelay(true).expect("nodelay");
+    stream.write_all(&raw[..cut]).expect("first half");
+    if cut != raw.len() {
+        // A real TCP tear: let the server read a short segment.
+        std::thread::sleep(Duration::from_millis(2));
+        stream.write_all(&raw[cut..]).expect("second half");
+    }
+    let _ = stream.shutdown(std::net::Shutdown::Write);
+    let mut out = Vec::new();
+    let _ = stream.read_to_end(&mut out);
+    server.shutdown();
+    out
 }

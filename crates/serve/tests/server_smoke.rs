@@ -4,9 +4,8 @@
 //! library call, and `/v1/stats` counters agree with the cache.
 
 use langcrux_serve::loadgen::{get, post};
-use langcrux_serve::{spawn, AuditService, ServeConfig, ServeCore};
+use langcrux_serve::{spawn, AuditService, ServeConfig};
 
-mod common;
 use langcrux_webgen::{render, SitePlan};
 use std::net::TcpStream;
 
@@ -26,15 +25,7 @@ fn connect(server: &langcrux_serve::ServerHandle) -> TcpStream {
 
 #[test]
 fn smoke_healthz_audit_batch_stats_shutdown() {
-    common::for_each_core(smoke_sequence);
-}
-
-fn smoke_sequence(core: ServeCore) {
-    let server = spawn(ServeConfig {
-        core,
-        ..ServeConfig::default()
-    })
-    .expect("spawn");
+    let server = spawn(ServeConfig::default()).expect("spawn");
     let mut stream = connect(&server);
     let mut scratch = Vec::new();
 
@@ -132,17 +123,9 @@ fn smoke_sequence(core: ServeCore) {
 
 #[test]
 fn audit_bytes_equal_direct_library_call() {
-    common::for_each_core(audit_bytes_equal_direct);
-}
-
-fn audit_bytes_equal_direct(core: ServeCore) {
     // The acceptance criterion: POST /v1/audit returns byte-identical
     // JSON to the equivalent direct (Dataset-path) library call.
-    let server = spawn(ServeConfig {
-        core,
-        ..ServeConfig::default()
-    })
-    .expect("spawn");
+    let server = spawn(ServeConfig::default()).expect("spawn");
     let service = AuditService::new();
     let mut stream = connect(&server);
     let mut scratch = Vec::new();
@@ -170,17 +153,9 @@ fn audit_bytes_equal_direct(core: ServeCore) {
 
 #[test]
 fn stats_counters_match_cache_behaviour() {
-    common::for_each_core(stats_counters_match_cache);
-}
-
-fn stats_counters_match_cache(core: ServeCore) {
     // Scripted traffic with a known hit/miss pattern; /v1/stats must
     // report exactly the cache's counters.
-    let server = spawn(ServeConfig {
-        core,
-        ..ServeConfig::default()
-    })
-    .expect("spawn");
+    let server = spawn(ServeConfig::default()).expect("spawn");
     let mut stream = connect(&server);
     let mut scratch = Vec::new();
 
@@ -214,13 +189,8 @@ fn stats_counters_match_cache(core: ServeCore) {
 
 #[test]
 fn protocol_errors_answer_and_close() {
-    common::for_each_core(protocol_errors_respond_then_close);
-}
-
-fn protocol_errors_respond_then_close(core: ServeCore) {
     use std::io::{Read, Write};
     let server = spawn(ServeConfig {
-        core,
         limits: langcrux_serve::Limits {
             max_body_bytes: 1024,
             ..Default::default()

@@ -16,20 +16,18 @@
 //!   refused.
 //! * **stalled batch reader** — a client that requests a huge streamed
 //!   batch and never reads a byte is failed at the OS write deadline;
-//!   it cannot pin the server (in the reactor: the event loop itself,
-//!   which runs batches blocking) and a concurrent `/v1/audit` still
+//!   it cannot pin the server, and a concurrent `/v1/audit` still
 //!   answers promptly and byte-exact.
-//!
-//! Every scenario runs against both serve cores (`common::for_each_core`):
-//! the thread-per-connection oracle and the epoll reactor must satisfy
-//! identical guarantees.
+//! * **panicking request** — a request whose handler panics is answered
+//!   `500` and closed, the panic is counted, and its connection slot is
+//!   released for the next client.
 
 use langcrux_serve::loadgen::{get, post, read_response};
-use langcrux_serve::{spawn, ServeConfig, ServeCore, ServerHandle};
+use langcrux_serve::{spawn, RpcHook, ServeConfig, ServerHandle};
 
-mod common;
 use std::io::{Read, Write};
 use std::net::TcpStream;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 fn connect(server: &ServerHandle) -> TcpStream {
@@ -59,12 +57,7 @@ const PAGE: &str = "<html lang=hi><head><title>समाचार</title></head>
 
 #[test]
 fn slowloris_headers_hit_the_deadline_not_a_hang() {
-    common::for_each_core(slowloris_headers_hit_the_deadline);
-}
-
-fn slowloris_headers_hit_the_deadline(core: ServeCore) {
     let server = spawn(ServeConfig {
-        core,
         request_deadline: Duration::from_millis(300),
         // Idle timeout far beyond the deadline: if the connection dies
         // within ~the deadline it was the slowloris bound, not idleness.
@@ -131,17 +124,12 @@ fn slowloris_headers_hit_the_deadline(core: ServeCore) {
 
 #[test]
 fn sustained_pipelining_is_not_mistaken_for_slowloris() {
-    common::for_each_core(sustained_pipelining_is_not_cut_off);
-}
-
-fn sustained_pipelining_is_not_cut_off(core: ServeCore) {
     // A fast, valid client that pipelines nonstop keeps the parser
     // mid-request almost permanently (reads tear at arbitrary offsets).
     // The request deadline must bound a *single* request's parse — it
     // resets on every completed request — so sustained pipelining far
     // past the deadline must never be answered 408.
     let server = spawn(ServeConfig {
-        core,
         request_deadline: Duration::from_millis(300),
         ..ServeConfig::default()
     })
@@ -187,16 +175,20 @@ fn sustained_pipelining_is_not_cut_off(core: ServeCore) {
 
 #[test]
 fn connection_cap_storm_sheds_exactly_the_overflow() {
-    common::for_each_core(connection_cap_storm_sheds_overflow);
+    // With `accept_queue: 1` the first client beyond the cap parks in the
+    // governor's queue instead of being shed, and is served once a
+    // holder disconnects; only the clients beyond cap + queue are shed.
+    for queue in [0, 1] {
+        connection_cap_storm(queue);
+    }
 }
 
-fn connection_cap_storm_sheds_overflow(core: ServeCore) {
+fn connection_cap_storm(queue: usize) {
     const CAP: usize = 2;
     const OVERFLOW: usize = 3;
     let server = spawn(ServeConfig {
-        core,
         max_connections: CAP,
-        accept_queue: 0,
+        accept_queue: queue,
         ..ServeConfig::default()
     })
     .expect("spawn");
@@ -210,6 +202,18 @@ fn connection_cap_storm_sheds_overflow(core: ServeCore) {
         assert_eq!(status, 200);
     }
 
+    // Fill the queue. Connections are accepted in arrival order, so the
+    // parked clients are admitted before any storm client below.
+    let mut parked: Vec<TcpStream> = (0..queue)
+        .map(|_| {
+            let mut client = connect(&server);
+            client
+                .write_all(b"GET /v1/healthz HTTP/1.1\r\nHost: parked\r\n\r\n")
+                .expect("parked write");
+            client
+        })
+        .collect();
+
     // The storm: every extra client must be shed with 503 + Retry-After
     // and a closed connection.
     for i in 0..OVERFLOW {
@@ -220,16 +224,37 @@ fn connection_cap_storm_sheds_overflow(core: ServeCore) {
         let text = read_to_end_string(&mut client);
         assert!(
             text.starts_with("HTTP/1.1 503 "),
-            "storm client {i}: expected 503, got {text:?}"
+            "queue {queue}, storm client {i}: expected 503, got {text:?}"
         );
         assert!(text.contains("Retry-After: 1\r\n"), "storm client {i}");
         assert!(text.contains("Connection: close\r\n"), "storm client {i}");
     }
     assert_eq!(server.state().counters.snapshot().shed, OVERFLOW as u64);
 
-    // Free one slot; the governor must readmit within the 50 ms
-    // connection-loop poll.
+    // A parked client is neither served nor shed while every slot is
+    // held.
+    for client in &mut parked {
+        client
+            .set_read_timeout(Some(Duration::from_millis(100)))
+            .expect("read timeout");
+        let mut byte = [0u8; 1];
+        assert!(
+            client.read(&mut byte).is_err(),
+            "a parked client was answered while every slot was held"
+        );
+    }
+
+    // Free one slot. A parked client is served on it, and then frees it
+    // again; the governor must readmit within the 50 ms connection-loop
+    // poll.
     drop(holders.pop());
+    for mut client in parked {
+        client
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .expect("read timeout");
+        let (status, _) = read_response(&mut client, &mut scratch).expect("parked response");
+        assert_eq!(status, 200, "the parked client was not served");
+    }
     let deadline = Instant::now() + Duration::from_secs(2);
     let recovered = loop {
         let mut client = connect(&server);
@@ -257,10 +282,6 @@ fn connection_cap_storm_sheds_overflow(core: ServeCore) {
 
 #[test]
 fn pipelined_chunked_requests_torn_at_every_chunk_boundary() {
-    common::for_each_core(chunked_requests_torn_at_every_boundary);
-}
-
-fn chunked_requests_torn_at_every_boundary(core: ServeCore) {
     // Two pipelined chunked audits over one connection. The stream is
     // torn in two at every chunk boundary (and the head/trailer seams);
     // every tear must produce the same two responses as the untorn
@@ -291,11 +312,7 @@ fn chunked_requests_torn_at_every_boundary(core: ServeCore) {
         raw
     }
 
-    let server = spawn(ServeConfig {
-        core,
-        ..ServeConfig::default()
-    })
-    .expect("spawn");
+    let server = spawn(ServeConfig::default()).expect("spawn");
 
     // Oracle: the same bodies as Content-Length requests.
     let mut scratch = Vec::new();
@@ -329,13 +346,8 @@ fn chunked_requests_torn_at_every_boundary(core: ServeCore) {
     server.shutdown();
 }
 
-#[test]
-fn stalled_batch_reader_is_cut_at_the_write_deadline() {
-    common::for_each_core(stalled_batch_reader_cannot_pin_the_server);
-}
-
-/// Set a socket's receive buffer (std-only `extern "C"`, matching the
-/// reactor's epoll discipline). Shrinking it before the request matters:
+/// Set a socket's receive buffer (std-only `extern "C"`: the workspace
+/// has no `libc` crate). Shrinking it before the request matters:
 /// the kernel's receive-buffer auto-tuning can otherwise absorb tens of
 /// megabytes of response on loopback, and a "non-reading" client never
 /// actually makes the server's writes block. Re-enlarging it before the
@@ -361,10 +373,10 @@ fn set_recv_buffer(stream: &TcpStream, size: i32) {
     assert_eq!(rc, 0, "setsockopt(SO_RCVBUF) failed");
 }
 
-fn stalled_batch_reader_cannot_pin_the_server(core: ServeCore) {
+#[test]
+fn stalled_batch_reader_is_cut_at_the_write_deadline() {
     const WRITE_TIMEOUT: Duration = Duration::from_millis(400);
     let server = spawn(ServeConfig {
-        core,
         write_timeout: WRITE_TIMEOUT,
         ..ServeConfig::default()
     })
@@ -390,9 +402,8 @@ fn stalled_batch_reader_cannot_pin_the_server(core: ServeCore) {
     // Let the server start streaming and fill both socket buffers.
     std::thread::sleep(Duration::from_millis(100));
 
-    // A concurrent audit must answer within a couple of write deadlines
-    // — in the reactor the batch runs blocking on the event loop, so
-    // without the OS write deadline this request would hang forever.
+    // A concurrent audit must answer within a couple of write deadlines:
+    // the stalled batch holds only its own connection's thread.
     let oracle = langcrux_serve::AuditService::new().audit_json(PAGE);
     let started = Instant::now();
     let mut client = connect(&server);
@@ -410,10 +421,10 @@ fn stalled_batch_reader_cannot_pin_the_server(core: ServeCore) {
         "stalled batch delayed a concurrent audit by {elapsed:?}"
     );
 
-    // Let the deadline expire before touching the stalled socket: on the
-    // threaded core the audit above returns in milliseconds, and draining
-    // immediately would reopen the receive window while the server's
-    // blocked write is still inside its 400 ms grace.
+    // Let the deadline expire before touching the stalled socket: the
+    // audit above returns in milliseconds, and draining immediately
+    // would reopen the receive window while the server's blocked write
+    // is still inside its 400 ms grace.
     std::thread::sleep(WRITE_TIMEOUT * 3);
 
     // The stalled connection itself was failed at the deadline: once we
@@ -455,12 +466,7 @@ fn stalled_batch_reader_cannot_pin_the_server(core: ServeCore) {
 
 #[test]
 fn graceful_drain_completes_in_flight_and_refuses_new() {
-    common::for_each_core(graceful_drain_completes_in_flight);
-}
-
-fn graceful_drain_completes_in_flight(core: ServeCore) {
     let server = spawn(ServeConfig {
-        core,
         batch_threads: 2,
         ..ServeConfig::default()
     })
@@ -506,4 +512,54 @@ fn graceful_drain_completes_in_flight(core: ServeCore) {
         TcpStream::connect(addr).is_err(),
         "post-drain connect must be refused"
     );
+}
+
+#[test]
+fn a_panicking_request_answers_500_and_releases_its_slot() {
+    // One slot and no queue: a panic that leaked its slot would get every
+    // later connection shed with 503, and one that killed the server
+    // would get it refused.
+    let hook = RpcHook(Arc::new(
+        |name: &str, _body: &[u8]| -> Option<(u16, Vec<u8>)> { panic!("rpc {name} panicked") },
+    ));
+    let server = spawn(ServeConfig {
+        max_connections: 1,
+        accept_queue: 0,
+        rpc: Some(hook),
+        ..ServeConfig::default()
+    })
+    .expect("spawn");
+    // The slot is released just after the answer goes out, so a client
+    // that reconnects at once may still find it held: retry a 503 for up
+    // to 2 s, as a client honouring Retry-After would.
+    let exchange = |request: &[u8]| -> String {
+        let deadline = Instant::now() + Duration::from_secs(2);
+        loop {
+            let mut client = connect(&server);
+            client.write_all(request).expect("request write");
+            let text = read_to_end_string(&mut client);
+            if !text.starts_with("HTTP/1.1 503 ") || Instant::now() > deadline {
+                return text;
+            }
+            std::thread::sleep(Duration::from_millis(25));
+        }
+    };
+
+    for i in 0..3 {
+        let text =
+            exchange(b"POST /v1/rpc/boom HTTP/1.1\r\nHost: boom\r\nContent-Length: 2\r\n\r\n{}");
+        assert!(
+            text.starts_with("HTTP/1.1 500 "),
+            "panicking request {i}: expected 500, got {text:?}"
+        );
+        assert!(text.contains("Connection: close\r\n"), "request {i}");
+    }
+    let text = exchange(b"GET /v1/healthz HTTP/1.1\r\nHost: after\r\nConnection: close\r\n\r\n");
+    assert!(text.starts_with("HTTP/1.1 200 "), "healthz: {text:?}");
+    let text = exchange(b"GET /v1/metrics HTTP/1.1\r\nHost: after\r\nConnection: close\r\n\r\n");
+    assert!(
+        text.contains("\nlangcrux_serve_panics_total 3\n"),
+        "metrics: {text}"
+    );
+    server.shutdown();
 }

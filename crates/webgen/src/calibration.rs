@@ -444,7 +444,7 @@ pub fn country_profile(country: Country) -> &'static CountryProfile {
 /// Calibrated estimate of a rendered localized page's HTML size, bytes.
 ///
 /// Used to pre-size the `HtmlBuilder` output buffer so rendering avoids
-/// the doubling-reallocation ladder. Measured over the serve-bench corpus
+/// the doubling-reallocation ladder. Measured over rendered corpus pages
 /// (every study country, localized variant): mean ≈ 11.4 KB; 16 KiB
 /// covers the bulk of pages in one allocation while staying far below
 /// the Appendix-E outlier tail (which reallocates as needed — capacity
