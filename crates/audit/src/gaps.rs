@@ -209,8 +209,8 @@ fn classify(
 /// Build the translation-gap report for an extracted page.
 ///
 /// Pure in the extract: same [`PageExtract`] in, byte-identical report
-/// out, on both extraction paths (the regions themselves are pinned equal
-/// across the tokenizer walk and the DOM oracle).
+/// out (the regions themselves are pinned equal across the streaming
+/// extractor and the `langcrux-oracle` DOM extractor).
 pub fn gap_report(extract: &PageExtract) -> GapReport {
     let page_script = extract.visible_hist.dominant();
     let declared = extract

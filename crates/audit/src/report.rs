@@ -113,11 +113,10 @@ pub fn audit_page(extract: &PageExtract) -> AuditReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use langcrux_crawl::extract;
-    use langcrux_html::parse;
+    use langcrux_crawl::extract_streaming;
 
     fn audit_html(html: &str) -> AuditReport {
-        audit_page(&extract(&parse(html)))
+        audit_page(&extract_streaming(html))
     }
 
     #[test]

@@ -140,7 +140,7 @@ pub struct SelectionStats {
 /// pipeline probe candidates in parallel chunks and still replay the
 /// paper's sequential rank-order replacement walk over the verdicts.
 /// The language composition comes from the histogram the crawler computed
-/// during DOM extraction; the visible text is not re-scanned.
+/// during extraction; the visible text is not re-scanned.
 pub fn probe_candidate(
     browser: &mut Browser,
     plan: &SitePlan,

@@ -241,8 +241,7 @@ impl<'net> Browser<'net> {
                         break Err(VisitError::Restricted);
                     }
                     // Streaming tokenize→extract: no DOM is materialised
-                    // on the crawl path (identical output to the DOM walk
-                    // — see crate::stream).
+                    // on the crawl path (see crate::stream).
                     let page = {
                         let _extract_span = obs::trace::span("crawl.extract", span_key);
                         extract_streaming(&self.body)

@@ -1,26 +1,19 @@
-//! Accessibility-element extraction (DOM path — the streaming path's
-//! reference oracle).
+//! What extraction yields: the [`PageExtract`] of a page and its
+//! accessibility elements.
 //!
-//! Implements the extraction contract behind the paper's Table 2: for each
-//! of the twelve element kinds, which attribute(s) provide its *accessibility
-//! text*, in priority order. "Missing" means no source is present at all;
-//! "Empty" means a source is present but whitespace-only — the distinction
-//! Table 2 reports. For buttons and links the visible inner text is
-//! captured separately (screen readers fall back to it, which §3 of the
-//! paper identifies as the likely cause of high missing rates).
-//!
-//! The crawl hot path uses [`crate::stream::extract_streaming`], which
-//! produces an identical [`PageExtract`] directly from tokenizer events;
-//! this DOM-walking implementation stays as the test oracle and for
-//! callers that already hold a parsed [`Document`].
+//! The extraction contract behind the paper's Table 2: for each of the
+//! twelve element kinds, which attribute(s) provide its *accessibility
+//! text*, in priority order (see [`crate::stream`], which implements it).
+//! "Missing" means no source is present at all; "Empty" means a source is
+//! present but whitespace-only — the distinction Table 2 reports. For
+//! buttons and links the visible inner text is captured separately
+//! (screen readers fall back to it, which §3 of the paper identifies as
+//! the likely cause of high missing rates).
 
-use crate::regions::{LangRegion, RegionTracker};
-use langcrux_html::dom::{Document, NodeId, NodeKind};
-use langcrux_html::visible::visible_text_histogram;
+use crate::regions::LangRegion;
 use langcrux_lang::a11y::ElementKind;
 use langcrux_lang::script::ScriptHistogram;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
 /// Which source provided the accessibility text.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -84,8 +77,8 @@ impl ExtractedElement {
 pub struct PageExtract {
     /// Whitespace-normalised visible text of the page.
     pub visible_text: String,
-    /// Script histogram of `visible_text`, computed during the same DOM
-    /// walk that produced it (always equal to
+    /// Script histogram of `visible_text`, tallied in the same pass that
+    /// produced it (always equal to
     /// `ScriptHistogram::of(&visible_text)`). Selection and analysis
     /// consume this instead of re-scanning the text.
     pub visible_hist: ScriptHistogram,
@@ -112,267 +105,14 @@ impl PageExtract {
     }
 }
 
-/// Number of whitespace-delimited tokens (the paper's Table 2 word count;
-/// scriptio-continua labels count as one token, which matches how the
-/// paper's CJK medians behave).
-pub fn word_count(text: &str) -> usize {
-    text.split_whitespace().count()
-}
-
-/// Character count (Unicode scalar values), the Table 2 text length.
-pub fn char_len(text: &str) -> usize {
-    text.chars().count()
-}
-
-/// Extract all accessibility elements plus page-level facts from a DOM.
-pub fn extract(doc: &Document) -> PageExtract {
-    let (visible_text, visible_hist) = visible_text_histogram(doc);
-    let mut tracker = RegionTracker::default();
-    langcrux_html::walk_events(doc, &mut tracker);
-    let mut out = PageExtract {
-        visible_text,
-        visible_hist,
-        regions: tracker.finish(),
-        ..PageExtract::default()
-    };
-
-    // <html lang>.
-    if let Some(html) = doc.elements_named("html").next() {
-        out.declared_lang = doc.attr(html, "lang").map(|s| s.to_string());
-    }
-
-    // label[for] → text map for form-control association.
-    let mut label_for: HashMap<String, String> = HashMap::new();
-    for label in doc.elements_named("label") {
-        if let Some(target) = doc.attr(label, "for") {
-            label_for
-                .entry(target.to_string())
-                .or_insert_with(|| doc.text_content(label));
-        }
-    }
-
-    // document-title: exactly one logical slot per page.
-    let title = doc.elements_named("title").find(|&t| {
-        // Ignore <title> children of <svg>.
-        doc.ancestors(t).all(|a| doc.tag_name(a) != Some("svg"))
-    });
-    out.elements.push(match title {
-        Some(t) => ExtractedElement {
-            kind: ElementKind::DocumentTitle,
-            text: Some(doc.text_content(t)),
-            source: Some(TextSource::TextContent),
-            visible_fallback: None,
-        },
-        None => ExtractedElement {
-            kind: ElementKind::DocumentTitle,
-            text: None,
-            source: None,
-            visible_fallback: None,
-        },
-    });
-
-    for id in doc.elements() {
-        let Some(tag) = doc.tag_name(id) else {
-            continue;
-        };
-        match tag {
-            "img" => out.elements.push(attr_element(
-                doc,
-                id,
-                ElementKind::ImageAlt,
-                &[("alt", TextSource::Alt)],
-                None,
-            )),
-            "iframe" | "frame" => out.elements.push(attr_element(
-                doc,
-                id,
-                ElementKind::FrameTitle,
-                &[("title", TextSource::TitleAttr)],
-                None,
-            )),
-            "button" => {
-                let fallback = Some(doc.text_content(id));
-                out.elements.push(attr_element(
-                    doc,
-                    id,
-                    ElementKind::ButtonName,
-                    &[
-                        ("aria-label", TextSource::AriaLabel),
-                        ("title", TextSource::TitleAttr),
-                    ],
-                    fallback,
-                ));
-            }
-            "a" if doc.attr(id, "href").is_some() => {
-                let fallback = Some(doc.text_content(id));
-                out.elements.push(attr_element(
-                    doc,
-                    id,
-                    ElementKind::LinkName,
-                    &[
-                        ("aria-label", TextSource::AriaLabel),
-                        ("title", TextSource::TitleAttr),
-                    ],
-                    fallback,
-                ));
-            }
-            "summary" => {
-                let mut el = attr_element(
-                    doc,
-                    id,
-                    ElementKind::SummaryName,
-                    &[("aria-label", TextSource::AriaLabel)],
-                    None,
-                );
-                if el.text.is_none() {
-                    let inner = doc.text_content(id);
-                    if !inner.trim().is_empty() {
-                        el.text = Some(inner);
-                        el.source = Some(TextSource::TextContent);
-                    }
-                }
-                out.elements.push(el);
-            }
-            "svg" if doc.attr(id, "role") == Some("img") => {
-                let mut el = attr_element(
-                    doc,
-                    id,
-                    ElementKind::SvgImgAlt,
-                    &[("aria-label", TextSource::AriaLabel)],
-                    None,
-                );
-                if el.text.is_none() {
-                    if let Some(t) = doc
-                        .node(id)
-                        .children
-                        .iter()
-                        .copied()
-                        .find(|&c| doc.tag_name(c) == Some("title"))
-                    {
-                        el.text = Some(doc.text_content(t));
-                        el.source = Some(TextSource::TitleChild);
-                    }
-                }
-                out.elements.push(el);
-            }
-            "object" => {
-                let mut el = attr_element(
-                    doc,
-                    id,
-                    ElementKind::ObjectAlt,
-                    &[("aria-label", TextSource::AriaLabel)],
-                    None,
-                );
-                if el.text.is_none() {
-                    let inner = doc.text_content(id);
-                    if !inner.trim().is_empty() {
-                        el.text = Some(inner);
-                        el.source = Some(TextSource::TextContent);
-                    }
-                }
-                out.elements.push(el);
-            }
-            "select" => {
-                let mut el = attr_element(
-                    doc,
-                    id,
-                    ElementKind::SelectName,
-                    &[("aria-label", TextSource::AriaLabel)],
-                    None,
-                );
-                if el.text.is_none() {
-                    if let Some(label) = doc.attr(id, "id").and_then(|i| label_for.get(i)) {
-                        el.text = Some(label.clone());
-                        el.source = Some(TextSource::AssociatedLabel);
-                    }
-                }
-                out.elements.push(el);
-            }
-            "input" => {
-                let input_type = doc.attr(id, "type").unwrap_or("text");
-                let is = |t: &str| input_type.eq_ignore_ascii_case(t);
-                if is("image") {
-                    out.elements.push(attr_element(
-                        doc,
-                        id,
-                        ElementKind::InputImageAlt,
-                        &[("alt", TextSource::Alt)],
-                        None,
-                    ));
-                } else if is("submit") || is("button") || is("reset") {
-                    out.elements.push(attr_element(
-                        doc,
-                        id,
-                        ElementKind::InputButtonName,
-                        &[
-                            ("value", TextSource::Value),
-                            ("aria-label", TextSource::AriaLabel),
-                        ],
-                        None,
-                    ));
-                } else if !is("hidden") {
-                    // Text-like controls: the `label` audit target.
-                    let mut el = attr_element(
-                        doc,
-                        id,
-                        ElementKind::Label,
-                        &[("aria-label", TextSource::AriaLabel)],
-                        None,
-                    );
-                    if el.text.is_none() {
-                        if let Some(label) = doc.attr(id, "id").and_then(|i| label_for.get(i)) {
-                            el.text = Some(label.clone());
-                            el.source = Some(TextSource::AssociatedLabel);
-                        }
-                    }
-                    out.elements.push(el);
-                }
-            }
-            _ => {}
-        }
-    }
-    out
-}
-
-fn attr_element(
-    doc: &Document,
-    id: NodeId,
-    kind: ElementKind,
-    sources: &[(&str, TextSource)],
-    visible_fallback: Option<String>,
-) -> ExtractedElement {
-    for (attr, source) in sources {
-        if let Some(v) = doc.attr(id, attr) {
-            return ExtractedElement {
-                kind,
-                text: Some(v.to_string()),
-                source: Some(*source),
-                visible_fallback,
-            };
-        }
-    }
-    // Sanity: `id` really is an element (attr lookups above need it too).
-    debug_assert!(matches!(doc.node(id).kind, NodeKind::Element { .. }));
-    ExtractedElement {
-        kind,
-        text: None,
-        source: None,
-        visible_fallback,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use langcrux_html::parse;
-
-    fn extract_str(html: &str) -> PageExtract {
-        extract(&parse(html))
-    }
+    use crate::stream::extract_streaming;
 
     #[test]
     fn image_alt_states() {
-        let ex = extract_str(r#"<img src=a><img src=b alt=""><img src=c alt="a cat">"#);
+        let ex = extract_streaming(r#"<img src=a><img src=b alt=""><img src=c alt="a cat">"#);
         let imgs: Vec<_> = ex.of_kind(ElementKind::ImageAlt).collect();
         assert_eq!(imgs.len(), 3);
         assert!(imgs[0].is_missing());
@@ -383,7 +123,8 @@ mod tests {
 
     #[test]
     fn button_uses_aria_label_with_fallback() {
-        let ex = extract_str(r#"<button aria-label="закрыть">X</button><button>Open</button>"#);
+        let ex =
+            extract_streaming(r#"<button aria-label="закрыть">X</button><button>Open</button>"#);
         let buttons: Vec<_> = ex.of_kind(ElementKind::ButtonName).collect();
         assert_eq!(buttons[0].content(), Some("закрыть"));
         assert_eq!(buttons[0].visible_fallback.as_deref(), Some("X"));
@@ -393,18 +134,18 @@ mod tests {
 
     #[test]
     fn link_requires_href() {
-        let ex = extract_str(r#"<a href="/x">go</a><a name="anchor">not a link</a>"#);
+        let ex = extract_streaming(r#"<a href="/x">go</a><a name="anchor">not a link</a>"#);
         assert_eq!(ex.of_kind(ElementKind::LinkName).count(), 1);
     }
 
     #[test]
     fn document_title_extraction() {
-        let ex = extract_str("<head><title>Новости дня</title></head>");
+        let ex = extract_streaming("<head><title>Новости дня</title></head>");
         let t: Vec<_> = ex.of_kind(ElementKind::DocumentTitle).collect();
         assert_eq!(t.len(), 1);
         assert_eq!(t[0].content(), Some("Новости дня"));
 
-        let ex = extract_str("<head></head><body></body>");
+        let ex = extract_streaming("<head></head><body></body>");
         assert!(ex
             .of_kind(ElementKind::DocumentTitle)
             .next()
@@ -414,7 +155,7 @@ mod tests {
 
     #[test]
     fn svg_title_child_not_document_title() {
-        let ex = extract_str(
+        let ex = extract_streaming(
             r#"<head><title>Page</title></head>
                <svg role="img"><title>home icon</title></svg>
                <svg><circle/></svg>"#,
@@ -435,7 +176,7 @@ mod tests {
 
     #[test]
     fn label_association() {
-        let ex = extract_str(
+        let ex = extract_streaming(
             r#"<label for="name">Ваше имя</label><input type="text" id="name">
                <input type="text" id="unlabelled">
                <input type="text" aria-label="phone">"#,
@@ -450,7 +191,7 @@ mod tests {
 
     #[test]
     fn input_kinds_split_by_type() {
-        let ex = extract_str(
+        let ex = extract_streaming(
             r#"<input type="image" src="b.png" alt="buy">
                <input type="submit" value="전송">
                <input type="hidden" value="x">
@@ -470,7 +211,7 @@ mod tests {
 
     #[test]
     fn summary_and_object_fallback_text() {
-        let ex = extract_str(
+        let ex = extract_streaming(
             r#"<details><summary>รายละเอียด</summary></details>
                <details><summary></summary></details>
                <object data="f.pdf">annual report</object>"#,
@@ -486,14 +227,14 @@ mod tests {
 
     #[test]
     fn declared_lang_and_visible_text() {
-        let ex = extract_str(r#"<html lang="th"><body><p>สวัสดี</p></body></html>"#);
+        let ex = extract_streaming(r#"<html lang="th"><body><p>สวัสดี</p></body></html>"#);
         assert_eq!(ex.declared_lang.as_deref(), Some("th"));
         assert_eq!(ex.visible_text, "สวัสดี");
     }
 
     #[test]
     fn carried_histogram_matches_visible_text() {
-        let ex = extract_str(
+        let ex = extract_streaming(
             r#"<html lang="bn"><body><p>বাংলা সংবাদ and english</p>
                <div hidden>hidden русский</div><p>১২৩ 456</p></body></html>"#,
         );
@@ -527,17 +268,8 @@ mod tests {
 
     #[test]
     fn texts_iterator_skips_missing_and_empty() {
-        let ex = extract_str(r#"<img alt="one"><img><img alt="">"#);
+        let ex = extract_streaming(r#"<img alt="one"><img><img alt="">"#);
         let texts: Vec<&str> = ex.texts().map(|(_, t)| t).collect();
         assert_eq!(texts, vec!["one"]);
-    }
-
-    #[test]
-    fn word_and_char_counts() {
-        assert_eq!(word_count("three word label"), 3);
-        assert_eq!(word_count("ภาพข่าว"), 1);
-        assert_eq!(word_count("  "), 0);
-        assert_eq!(char_len("ক খ"), 3);
-        assert_eq!(char_len(""), 0);
     }
 }

@@ -1,7 +1,7 @@
 //! # langcrux-crawl
 //!
 //! The crawling layer of the reproduction: a Puppeteer-equivalent page
-//! visitor (fetch → parse → extract) and a worker-pool crawler.
+//! visitor (fetch → extract) and a worker-pool crawler.
 //!
 //! The paper "develop\[s\] a web crawler using Puppeteer, which simulates web
 //! browsing conditions in a Chromium environment … capturing network-level
@@ -9,16 +9,16 @@
 //! Collection). This crate produces the same artefacts from the simulated
 //! internet:
 //!
-//! * [`mod@extract`] — visible text, `<html lang>`, and the twelve
-//!   accessibility element kinds with their missing/empty/text states
-//!   (its module docs give the attribute priority per kind); the
-//!   DOM-walking reference implementation.
-//! * [`stream`] — the same extraction streamed from tokenizer events with
-//!   no DOM materialisation ([`extract_streaming`]); the crawl path's
-//!   per-visit hot loop, byte-identical to the DOM path by test.
+//! * [`mod@extract`] — what a page yields: visible text, `<html lang>`,
+//!   and the twelve accessibility element kinds with their
+//!   missing/empty/text states ([`PageExtract`]).
+//! * [`stream`] — the extractor: [`extract_streaming`] derives the
+//!   [`PageExtract`] from tokenizer events in one pass, with no DOM; the
+//!   crawl path's per-visit hot loop. The DOM extractor that the tests
+//!   compare it with is in the dev-only `langcrux-oracle` crate.
 //! * [`regions`] — per-subtree language regions of the visible text
-//!   (chrome landmarks, explicit `lang` subtrees), derived identically on
-//!   both extraction paths; the carrier for translation-gap detection.
+//!   (chrome landmarks, explicit `lang` subtrees); the carrier for
+//!   translation-gap detection.
 //! * [`browser`] — single-page visits under a production retry
 //!   discipline: capped exponential backoff with deterministic jitter,
 //!   per-visit fetch deadlines, and restricted-content detection.
@@ -41,7 +41,7 @@ pub mod stream;
 pub use breaker::{Admission, BreakerConfig, BreakerState, CircuitBreaker};
 pub use browser::{Browser, BrowserConfig, Visit, VisitError, VisitTrace};
 pub use clock::VirtualClock;
-pub use extract::{char_len, extract, word_count, ExtractedElement, PageExtract, TextSource};
+pub use extract::{ExtractedElement, PageExtract, TextSource};
 pub use pool::{
     crawl_hosts, default_threads, run_work_stealing, run_work_stealing_with, CrawlConfig,
     CrawlOutcome, CrawlStats,

@@ -24,15 +24,15 @@
 //! histogram never double-counts into the page region. Hidden subtrees
 //! contribute nothing (the `visible` flags of the shared walk).
 //!
-//! `RegionTracker` implements [`StreamSink`] and is fed from *both*
-//! extraction paths — the tokenizer walk via `ExtractSink` and the DOM
-//! oracle via [`langcrux_html::walk_events`] — so the derived regions are
-//! identical by construction wherever the two walks deliver the same
-//! events (pinned in `langcrux-html`).
+//! [`RegionTracker`] implements [`StreamSink`]. The streaming extractor
+//! feeds it tokenizer events; the DOM extractor of the `langcrux-oracle`
+//! crate feeds it the same events replayed from a tree, so the derived
+//! regions are identical by construction wherever the two walks deliver
+//! the same events (pinned there).
 //!
 //! While the walk runs, region roles and languages are spans of one
 //! per-page string arena, so an element inside a `lang` context costs no
-//! copy of that language; `RegionTracker::finish` copies out only the
+//! copy of that language; [`RegionTracker::finish`] copies out only the
 //! regions it returns.
 
 use langcrux_html::scratch::ScratchBuffer;
@@ -115,10 +115,9 @@ struct OpenRegion {
 }
 
 /// Event-driven region builder; see the module docs. The streaming
-/// extractor keeps one per thread and [`Self::clear_capped`]s it between
-/// pages.
+/// extractor keeps one per thread and clears it between pages.
 #[derive(Default)]
-pub(crate) struct RegionTracker {
+pub struct RegionTracker {
     regions: Vec<OpenRegion>,
     /// Indices into `regions` for currently open regions, innermost last.
     active: Vec<usize>,
@@ -132,7 +131,7 @@ pub(crate) struct RegionTracker {
 impl RegionTracker {
     /// Close out the walk and return regions that saw any visible text,
     /// in document order of opening, as an exact-size `Vec`.
-    pub(crate) fn finish(&self) -> Vec<LangRegion> {
+    pub fn finish(&self) -> Vec<LangRegion> {
         let seen = |r: &&OpenRegion| r.hist.total > 0;
         let mut out = Vec::with_capacity(self.regions.iter().filter(seen).count());
         out.extend(self.regions.iter().filter(seen).map(|r| LangRegion {
@@ -247,16 +246,11 @@ impl StreamSink for RegionTracker {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::extract::extract;
     use crate::stream::extract_streaming;
-    use langcrux_html::parse;
     use langcrux_lang::script::Script;
 
     fn regions_of(html: &str) -> Vec<LangRegion> {
-        let streamed = extract_streaming(html);
-        let dom = extract(&parse(html));
-        assert_eq!(streamed.regions, dom.regions, "region parity on {html:?}");
-        streamed.regions
+        extract_streaming(html).regions
     }
 
     #[test]

@@ -693,8 +693,8 @@ mod tests {
         let scan = scan(text);
         assert_eq!(scan.discard, reference::classify(text), "{text:?}");
         assert_eq!(scan.discard, classify(text), "{text:?}");
-        assert_eq!(scan.chars(), langcrux_crawl::char_len(text), "{text:?}");
-        assert_eq!(scan.words, langcrux_crawl::word_count(text), "{text:?}");
+        assert_eq!(scan.chars(), langcrux_oracle::char_len(text), "{text:?}");
+        assert_eq!(scan.words, langcrux_oracle::word_count(text), "{text:?}");
         for language in label_languages() {
             assert_eq!(
                 langcrux_langid::classify_histogram(&scan.hist, language),

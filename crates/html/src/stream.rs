@@ -1,27 +1,32 @@
 //! Streaming tokenize→extract: visible text and script histogram straight
 //! from tokenizer events, with **no DOM allocation**.
 //!
-//! The crawl path never needs the tree the parser builds — selection and
-//! Kizuki consume the fused visible-text histogram, and the accessibility
-//! elements are derivable from tag events alone. This module re-runs the
-//! exact rules of [`crate::parser::parse`] + [`crate::visible`] over the
-//! token stream instead of over a materialised [`crate::dom::Document`]:
+//! The crawl path never needs a tree — selection and Kizuki consume the
+//! fused visible-text histogram, and the accessibility elements are
+//! derivable from tag events alone. This module applies the tree
+//! builder's and the visible-text walk's rules to the token stream
+//! directly, with no materialised document:
 //!
 //! * the **open-element stack** is emulated with a flat name arena (void
 //!   elements, implicit `<li>`/`<p>` closes, browser-style recovery for
-//!   mismatched end tags — the same rules, so text parentage matches the
-//!   tree builder's);
+//!   mismatched end tags — [`is_void_element`] and [`closes_same`] are the
+//!   rules a tree builder would apply, so text parentage matches the
+//!   tree's);
 //! * a **skip-stack** depth counter tracks `script`/`style`/`head`/hidden
-//!   subtrees, replacing the DOM walk's per-subtree early return;
-//! * inter-block whitespace flows through the *same*
-//!   [`Normaliser`]/[`ScriptHistogram`] sink the DOM walk uses, so the
-//!   output is byte-identical by construction (and proptest-pinned).
+//!   subtrees, replacing a tree walk's per-subtree early return;
+//! * inter-block whitespace flows through the shared
+//!   [`Normaliser`]/[`ScriptHistogram`] sink.
 //!
-//! [`stream_visible_text_histogram`] is the drop-in streaming equivalent
-//! of parse-then-[`visible_text_histogram`]; richer consumers (the
-//! crawler's full `PageExtract` builder in `langcrux-crawl`) implement
-//! [`StreamSink`] to observe element starts/ends and text runs from the
-//! same single pass.
+//! The tree-building parser and DOM walk that define the expected output
+//! live in the dev-only `langcrux-oracle` crate, which builds them from
+//! these same rule functions; its tests pin the two byte- and
+//! histogram-identical on hand-picked, property-generated and corpus
+//! pages.
+//!
+//! [`stream_visible_text_histogram`] gives a page's visible text and
+//! histogram; richer consumers (the crawler's full `PageExtract` builder
+//! in `langcrux-crawl`) implement [`StreamSink`] to observe element
+//! starts/ends and text runs from the same single pass.
 //!
 //! The walk's working buffers — the open-element stack, its name arena,
 //! the entity-decode buffer and the visible-text buffer — are per-thread
@@ -33,21 +38,50 @@
 //! strings as a whole, keeps at most [`CAP_BYTES`] (64 KiB).
 //!
 //! [`CAP_BYTES`]: crate::scratch::CAP_BYTES
-//! [`Normaliser`]: crate::visible
-//! [`visible_text_histogram`]: crate::visible::visible_text_histogram
+//! [`Normaliser`]: crate::visible::Normaliser
 
-use crate::dom::{Document, NodeId, NodeKind};
 use crate::entities::decode_into;
-use crate::parser::{closes_same, is_void_element};
 use crate::scratch::ScratchBuffer;
 use crate::tokenizer::{tokenize_into, Attribute, TokenSink};
-use crate::visible::{attrs_hide, element_hidden, is_block, is_non_rendering, Normaliser};
+use crate::visible::{attrs_hide, is_block, is_non_rendering, Normaliser};
 use langcrux_lang::script::ScriptHistogram;
 use std::cell::Cell;
 
+/// Elements that never have children.
+pub fn is_void_element(name: &str) -> bool {
+    matches!(
+        name,
+        "area"
+            | "base"
+            | "br"
+            | "col"
+            | "embed"
+            | "hr"
+            | "img"
+            | "input"
+            | "link"
+            | "meta"
+            | "param"
+            | "source"
+            | "track"
+            | "wbr"
+    )
+}
+
+/// Elements that implicitly close an open element of the same name
+/// (`<li>`, `<p>`, table rows/cells, options) when it is the innermost
+/// one.
+pub fn closes_same(name: &str) -> bool {
+    matches!(
+        name,
+        "li" | "p" | "tr" | "td" | "th" | "option" | "dt" | "dd"
+    )
+}
+
 /// Observer of tree-level events during a streaming extraction pass.
 ///
-/// Events mirror the final tree [`crate::parser::parse`] would build:
+/// Events mirror the final tree a tree builder following the same rules
+/// would build:
 /// `element_start`/`element_end` arrive balanced and properly nested (void
 /// and self-closing elements produce an immediate end; elements left open
 /// at EOF are closed then), and `text` fires for every text node in
@@ -73,17 +107,18 @@ pub trait StreamSink {
 impl StreamSink for () {}
 
 /// Visible text and script histogram of an HTML document, computed
-/// directly from tokenizer events — no token buffer, no DOM.
-///
-/// Byte- and histogram-identical to parsing first:
+/// directly from tokenizer events — no token buffer, no DOM. The
+/// histogram counts exactly the characters of the text:
 ///
 /// ```
-/// use langcrux_html::{parse, stream_visible_text_histogram, visible_text_histogram};
+/// use langcrux_html::stream_visible_text_histogram;
+/// use langcrux_lang::script::{Script, ScriptHistogram};
 ///
 /// let html = "<body><p>নমস্কার</p><div hidden>skip</div><p>ok &amp; on</p></body>";
-/// let streamed = stream_visible_text_histogram(html);
-/// assert_eq!(streamed, visible_text_histogram(&parse(html)));
-/// assert_eq!(streamed.0, "নমস্কার\nok & on");
+/// let (text, hist) = stream_visible_text_histogram(html);
+/// assert_eq!(text, "নমস্কার\nok & on");
+/// assert_eq!(hist, ScriptHistogram::of(&text));
+/// assert!(hist.count(Script::Bengali) > hist.count(Script::Latin));
 /// ```
 pub fn stream_visible_text_histogram(html: &str) -> (String, ScriptHistogram) {
     let (text, hist, ()) = stream_extract(html, ());
@@ -113,8 +148,8 @@ pub fn stream_extract<S: StreamSink>(html: &str, sink: S) -> (String, ScriptHist
         sink,
     };
     tokenize_into(html, &mut walk);
-    // Elements still open at EOF: the tree builder leaves them on the
-    // stack and the DOM walk unwinds through them; close them so sinks
+    // Elements still open at EOF: a tree builder leaves them on the
+    // stack and a tree walk unwinds through them; close them so sinks
     // see balanced events.
     while !walk.stack.is_empty() {
         walk.pop_one();
@@ -127,16 +162,17 @@ pub fn stream_extract<S: StreamSink>(html: &str, sink: S) -> (String, ScriptHist
         sink,
         ..
     } = walk;
-    let text = normaliser.out.as_str().to_owned();
+    let (out, hist) = normaliser.finish();
+    let text = out.as_str().to_owned();
     let mut scratch = WalkScratch {
         stack,
         names,
         text_buf,
-        out: normaliser.out,
+        out,
     };
     scratch.recycle();
     SCRATCH.set(Some(scratch));
-    (text, normaliser.tally, sink)
+    (text, hist, sink)
 }
 
 thread_local! {
@@ -183,42 +219,6 @@ pub(crate) fn scratch_allocations() -> Vec<usize> {
     walk.into_iter()
         .chain(crate::tokenizer::scratch_allocations())
         .collect()
-}
-
-/// Replay the tree-level events of a parsed [`Document`] into a
-/// [`StreamSink`] — the DOM-side twin of [`stream_extract`]'s event
-/// delivery. Element starts/ends arrive balanced in document order and
-/// the `visible` flags follow the exact rules of
-/// [`crate::visible::visible_text`] (non-rendering elements, `hidden`,
-/// `aria-hidden="true"`, hiding inline styles), so a sink fed from a
-/// `Document` observes the same region structure as one fed from the
-/// tokenizer. Consumers that must produce identical derived state on
-/// both extraction paths (the crawler's per-subtree language regions)
-/// drive one tracker from both event sources.
-pub fn walk_events<S: StreamSink>(doc: &Document, sink: &mut S) {
-    walk_events_at(doc, NodeId::ROOT, 0, sink);
-}
-
-fn walk_events_at<S: StreamSink>(doc: &Document, id: NodeId, skip_depth: usize, sink: &mut S) {
-    match &doc.node(id).kind {
-        NodeKind::Text(t) => sink.text(t, skip_depth == 0),
-        NodeKind::Comment(_) => {}
-        NodeKind::Document => {
-            for &c in &doc.node(id).children {
-                walk_events_at(doc, c, skip_depth, sink);
-            }
-        }
-        NodeKind::Element { name, .. } => {
-            let skipped = is_non_rendering(name) || element_hidden(doc, id);
-            let visible = skip_depth == 0 && !skipped;
-            sink.element_start(name, doc.attrs(id), visible);
-            let child_skip = skip_depth + usize::from(skipped);
-            for &c in &doc.node(id).children {
-                walk_events_at(doc, c, child_skip, sink);
-            }
-            sink.element_end(name);
-        }
-    }
 }
 
 /// One emulated open element. The name lives in the shared arena
@@ -352,89 +352,6 @@ impl<S: StreamSink> TokenSink for StreamWalk<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::parser::parse;
-    use crate::visible::visible_text_histogram;
-
-    /// The invariant the whole module exists to uphold.
-    fn assert_stream_matches_dom(html: &str) {
-        let dom = visible_text_histogram(&parse(html));
-        let streamed = stream_visible_text_histogram(html);
-        assert_eq!(streamed.0, dom.0, "text diverged on {html:?}");
-        assert_eq!(streamed.1, dom.1, "histogram diverged on {html:?}");
-    }
-
-    #[test]
-    fn matches_dom_on_simple_pages() {
-        for html in [
-            "",
-            "plain text only",
-            "<html><body><p>Hello</p><p>World</p></body></html>",
-            "<p>a   b\n\t c</p>",
-            "<p>he<b>ll</b>o</p>",
-            "<ul><li>one<li>two<li>three</ul>",
-            "<p>নমস্কার বিশ্ব</p><p>हिन्दी</p><p>สวัสดี</p>",
-        ] {
-            assert_stream_matches_dom(html);
-        }
-    }
-
-    #[test]
-    fn matches_dom_on_skip_subtrees() {
-        for html in [
-            "<head><title>T</title><style>.x{}</style></head><body><p>only this</p></body>",
-            "<script>var x = '<p>not text</p>';</script>after",
-            "<div hidden><p>secret</p></div><p>shown</p>",
-            r#"<span aria-hidden="true">x</span><span aria-hidden="false">y</span>"#,
-            r#"<div style="display: none">a</div><div style="color:red">b</div>"#,
-            r#"<div style="VISIBILITY:HIDDEN">a</div>ok"#,
-            "<noscript><p>fallback</p></noscript>visible",
-            "<div hidden><div><p>deep</p></div></div>tail",
-        ] {
-            assert_stream_matches_dom(html);
-        }
-    }
-
-    #[test]
-    fn matches_dom_on_broken_markup() {
-        for html in [
-            "<div><span>text</div></span>",
-            "<p>outer<span><p>inner</span></p>",
-            "<b>unclosed everywhere",
-            "<div class=\"x",
-            "</p>leading end tag",
-            "<a></b></c><d>",
-            "a < b and c > d",
-            "<p>first<p>second<div><p>third",
-            "<table><tr><td>a<td>b<tr><td>c</table>",
-        ] {
-            assert_stream_matches_dom(html);
-        }
-    }
-
-    #[test]
-    fn matches_dom_on_entities_and_raw_text() {
-        for html in [
-            "a &amp; b &#2453; &#x0E01; &unknown; &amp",
-            "<title>News &amp; Weather</title><body>x</body>",
-            "<textarea>5 &lt; 7</textarea>",
-            "<script>a &amp; b stays raw</script><p>c &amp; d</p>",
-        ] {
-            assert_stream_matches_dom(html);
-        }
-    }
-
-    #[test]
-    fn void_and_self_closing_blocks() {
-        for html in [
-            "a<br>b",
-            "a<br/>b",
-            "a<hr hidden>b",
-            "<img src=x alt=y>tail",
-            "<div/>not really self-closing in html but ours honours it<p>x</p>",
-        ] {
-            assert_stream_matches_dom(html);
-        }
-    }
 
     #[test]
     fn sink_sees_balanced_tree_events() {
@@ -488,51 +405,6 @@ mod tests {
         );
     }
 
-    #[test]
-    fn dom_walk_events_match_streaming_events() {
-        // The contract `walk_events` exists for: a sink fed from the DOM
-        // observes the same element structure, attributes-at-start, and
-        // visible text runs as one fed from the tokenizer. Adjacent text
-        // events may be split differently between the two paths, so text
-        // is compared as merged (content, visible) runs.
-        #[derive(Default, PartialEq, Debug)]
-        struct Events(Vec<String>);
-        impl StreamSink for Events {
-            fn element_start(&mut self, name: &str, attrs: &[Attribute], visible: bool) {
-                let mut attrs: Vec<String> = attrs
-                    .iter()
-                    .map(|a| format!("{}={}", a.name, a.value))
-                    .collect();
-                attrs.sort();
-                self.0
-                    .push(format!("+{name}/{}/{visible}", attrs.join(";")));
-            }
-            fn element_end(&mut self, name: &str) {
-                self.0.push(format!("-{name}"));
-            }
-            fn text(&mut self, text: &str, visible: bool) {
-                let tagged = format!("t{visible}:");
-                match self.0.last_mut() {
-                    Some(last) if last.starts_with(&tagged) => last.push_str(text),
-                    _ => self.0.push(format!("{tagged}{text}")),
-                }
-            }
-        }
-        for html in [
-            "<html lang=bn><body><nav>menu</nav><main lang=en>text</main></body></html>",
-            "<div hidden><p>secret</p></div><p>shown</p>",
-            "<ul><li>one<li>two</ul>",
-            "<script>x</script><title>T</title>tail",
-            "<p>a &amp; b</p><img src=x alt=y>",
-            "<div><span>text</div></span><b>unclosed",
-        ] {
-            let (_, _, streamed) = stream_extract(html, Events::default());
-            let mut dom_events = Events::default();
-            walk_events(&parse(html), &mut dom_events);
-            assert_eq!(streamed, dom_events, "events diverged on {html:?}");
-        }
-    }
-
     /// Every event a sink sees, with attributes, as strings.
     #[derive(Default, PartialEq, Debug)]
     struct Recorder(Vec<String>);
@@ -558,7 +430,8 @@ mod tests {
     /// elements left open (one of them hiding), 3,000-deep nesting,
     /// nested labels, a 200 KB attribute, a tag whose 40 attributes are
     /// each under the cap but together far above it, and long
-    /// entity-laden text.
+    /// entity-laden text. `langcrux-oracle`'s `stream_text` tests compare
+    /// this page, and the other pages of these tests, with the DOM walk.
     fn adversarial_page() -> String {
         let mut html = String::from(
             "<html lang=bn><title>t</title><label for=q>a<label for=q>b</label>\
@@ -586,10 +459,9 @@ mod tests {
         stream_extract(html, Recorder::default())
     }
 
-    /// `html` must stream to the DOM oracle's text and histogram, and to
-    /// exactly what a fresh thread (fresh scratch) produces.
+    /// `html` must stream to exactly what a fresh thread (fresh scratch)
+    /// produces.
     fn assert_clean_extract(html: &str) {
-        assert_stream_matches_dom(html);
         let owned = html.to_string();
         let fresh = std::thread::spawn(move || walk_output(&owned))
             .join()
@@ -599,7 +471,7 @@ mod tests {
 
     #[test]
     fn scratch_is_clean_after_an_adversarial_page() {
-        assert_stream_matches_dom(&adversarial_page());
+        walk_output(&adversarial_page());
         assert_clean_extract(NORMAL_PAGE);
     }
 
@@ -618,8 +490,16 @@ mod tests {
             }
         }
         let (text, hist, sink) = stream_extract(OUTER, Reentrant::default());
-        assert_eq!((text, hist), visible_text_histogram(&parse(OUTER)));
-        assert_eq!(sink.0, Some(visible_text_histogram(&parse(INNER))));
+        let fresh = std::thread::spawn(|| {
+            (
+                stream_visible_text_histogram(OUTER),
+                stream_visible_text_histogram(INNER),
+            )
+        })
+        .join()
+        .expect("fresh thread");
+        assert_eq!((text, hist), fresh.0);
+        assert_eq!(sink.0, Some(fresh.1));
         assert_clean_extract(NORMAL_PAGE);
     }
 
@@ -666,6 +546,6 @@ mod tests {
             s.push_str("<div>");
         }
         s.push_str("deep");
-        assert_stream_matches_dom(&s);
+        assert_eq!(stream_visible_text_histogram(&s).0, "deep");
     }
 }

@@ -12,8 +12,8 @@
 //! The lexer is written once and driven through a [`TokenSink`], so the two
 //! consumers share every lexing rule byte for byte:
 //!
-//! * [`tokenize`] materialises owned [`Token`]s for the tree builder
-//!   ([`crate::parser::parse`]).
+//! * [`tokenize`] materialises owned [`Token`]s, for a consumer that wants
+//!   them all (the tree builder of the `langcrux-oracle` crate).
 //! * [`tokenize_into`] pushes borrowed lexemes straight into a caller sink —
 //!   this is the entry point of the streaming extraction path
 //!   ([`crate::stream`]), which never allocates a token buffer or a DOM.
@@ -51,11 +51,6 @@ pub enum Token {
     Text(String),
 }
 
-/// Elements whose content is raw text (no nested markup).
-pub fn is_raw_text_element(name: &str) -> bool {
-    raw_text_static_name(name).is_some()
-}
-
 /// The single source of truth for the raw-text element set: maps a
 /// lower-cased tag name to its `'static` spelling (the raw-text scanner
 /// needs a name that outlives the lexer's scratch buffer).
@@ -81,7 +76,7 @@ fn raw_text_static_name(name: &str) -> Option<&'static str> {
 ///   tags and documents: when the call returns it takes the attributes
 ///   back and refills their strings for later tags, so a sink that keeps
 ///   a name or value must copy it. A sink that wants ownership may
-///   instead `std::mem::take` the whole `Vec` (the DOM builder does);
+///   instead `std::mem::take` the whole `Vec` ([`tokenize`] does);
 ///   the lexer then starts the next tag with fresh strings.
 /// * `text` arrives **undecoded**; `decode_entities` says whether the
 ///   owned-token path would run [`decode`] over it (true for ordinary

@@ -1,20 +1,22 @@
-//! Visible-text extraction.
+//! Visible-text rules.
 //!
 //! The paper's language measurements are over *visible textual content* —
 //! what a sighted user (or a rendering engine) actually sees. This module
-//! reproduces Puppeteer's effective behaviour for static HTML: walk the
-//! DOM, skip subtrees that do not render (`<script>`, `<style>`,
-//! `<template>`, `<noscript>`, `<head>` metadata), skip subtrees hidden via
+//! holds the rules that reproduce Puppeteer's effective behaviour for
+//! static HTML: subtrees that do not render (`<script>`, `<style>`,
+//! `<template>`, `<noscript>`, `<head>` metadata) and subtrees hidden via
 //! the `hidden` attribute, `aria-hidden="true"`, or inline
-//! `display:none` / `visibility:hidden` styles, and normalise whitespace
-//! between block boundaries.
+//! `display:none` / `visibility:hidden` styles are skipped, and
+//! whitespace is normalised between block boundaries. The streaming walk
+//! ([`crate::stream`]) applies them to tokenizer events; the DOM walk
+//! that the tests compare it with (the `langcrux-oracle` crate) applies
+//! the same functions to a tree, so the two cannot drift.
 
-use crate::dom::{Document, NodeId, NodeKind};
 use crate::tokenizer::Attribute;
 use langcrux_lang::script::ScriptHistogram;
 
 /// Elements whose entire subtree never renders as text.
-pub(crate) fn is_non_rendering(name: &str) -> bool {
+pub fn is_non_rendering(name: &str) -> bool {
     matches!(
         name,
         "script" | "style" | "template" | "noscript" | "head" | "title" | "meta" | "link" | "base"
@@ -41,10 +43,8 @@ fn style_hides(style: &str) -> bool {
 }
 
 /// Whether an attribute list hides its element (`hidden`,
-/// `aria-hidden="true"`, or a hiding inline `style`). Shared by the DOM
-/// walk ([`element_hidden`]) and the streaming walk ([`crate::stream`]),
-/// so the two paths cannot drift.
-pub(crate) fn attrs_hide(attrs: &[Attribute]) -> bool {
+/// `aria-hidden="true"`, or a hiding inline `style`).
+pub fn attrs_hide(attrs: &[Attribute]) -> bool {
     let get = |name: &str| {
         attrs
             .iter()
@@ -60,30 +60,8 @@ pub(crate) fn attrs_hide(attrs: &[Attribute]) -> bool {
     get("style").is_some_and(style_hides)
 }
 
-/// Whether this single element (not its ancestors) is hidden.
-pub fn element_hidden(doc: &Document, id: NodeId) -> bool {
-    attrs_hide(doc.attrs(id))
-}
-
-/// Whether a node is visible, considering its own flags and every ancestor.
-pub fn is_visible(doc: &Document, id: NodeId) -> bool {
-    let check = |eid: NodeId| -> bool {
-        if let Some(name) = doc.tag_name(eid) {
-            if is_non_rendering(name) {
-                return false;
-            }
-        }
-        !element_hidden(doc, eid)
-    };
-    if matches!(doc.node(id).kind, NodeKind::Element { .. }) && !check(id) {
-        return false;
-    }
-    doc.ancestors(id)
-        .all(|a| matches!(doc.node(a).kind, NodeKind::Document) || check(a))
-}
-
 /// Block-level elements that introduce text boundaries.
-pub(crate) fn is_block(name: &str) -> bool {
+pub fn is_block(name: &str) -> bool {
     matches!(
         name,
         "p" | "div"
@@ -123,54 +101,9 @@ pub(crate) fn is_block(name: &str) -> bool {
     )
 }
 
-/// Extract the visible text of the whole document, whitespace-normalised:
-/// consecutive whitespace collapses to a single space; block boundaries
-/// insert a newline.
-pub fn visible_text(doc: &Document) -> String {
-    visible_text_of(doc, NodeId::ROOT)
-}
-
-/// Extract the visible text of a subtree.
-pub fn visible_text_of(doc: &Document, root: NodeId) -> String {
-    let mut sink = Normaliser::new(());
-    walk(doc, root, &mut sink);
-    sink.out
-}
-
-/// Fused extraction: the visible text of the whole document *and* its
-/// [`ScriptHistogram`], computed in the same single DOM walk. The histogram
-/// is identical to `ScriptHistogram::of(&text)` but costs no re-scan of the
-/// built string — this is the hot path of the paper's 50%-native-content
-/// website-selection rule at crawl scale.
-///
-/// When the caller holds raw HTML rather than a parsed [`Document`], the
-/// streaming equivalent [`crate::stream::stream_visible_text_histogram`]
-/// produces the same pair without materialising a DOM at all.
-///
-/// ```
-/// use langcrux_html::{parse, visible_text_histogram};
-/// use langcrux_lang::script::{Script, ScriptHistogram};
-///
-/// let doc = parse("<body><p>নমস্কার</p><script>skip()</script><p>ok</p></body>");
-/// let (text, hist) = visible_text_histogram(&doc);
-/// assert_eq!(text, "নমস্কার\nok");
-/// assert_eq!(hist, ScriptHistogram::of(&text));
-/// assert!(hist.count(Script::Bengali) > hist.count(Script::Latin));
-/// ```
-pub fn visible_text_histogram(doc: &Document) -> (String, ScriptHistogram) {
-    visible_text_histogram_of(doc, NodeId::ROOT)
-}
-
-/// Fused extraction of a subtree (see [`visible_text_histogram`]).
-pub fn visible_text_histogram_of(doc: &Document, root: NodeId) -> (String, ScriptHistogram) {
-    let mut sink = Normaliser::new(ScriptHistogram::default());
-    walk(doc, root, &mut sink);
-    (sink.out, sink.tally)
-}
-
 /// Observer of every character emitted into the normalised text. The unit
-/// impl lets `visible_text` monomorphise to a tally-free walk.
-pub(crate) trait CharTally {
+/// impl gives a tally-free walk.
+pub trait CharTally {
     fn push(&mut self, c: char);
 }
 
@@ -186,21 +119,22 @@ impl CharTally for ScriptHistogram {
     }
 }
 
-/// Streaming whitespace normaliser: the DOM walk — and the tokenizer-fed
-/// streaming walk in [`crate::stream`] — feed text runs and block
-/// boundaries directly into it, so the visible text (and, when requested,
-/// its script histogram) is produced in one pass with no intermediate
-/// buffer. Both extraction paths share this one struct, which is what
-/// makes their outputs byte-identical by construction.
-pub(crate) struct Normaliser<T> {
-    pub(crate) out: String,
-    pub(crate) tally: T,
+/// Streaming whitespace normaliser: the tokenizer-fed walk in
+/// [`crate::stream`] — and the DOM walk of the `langcrux-oracle` crate,
+/// which the tests compare it with — feed text runs and block boundaries
+/// directly into it, so the visible text (and, when requested, its script
+/// histogram) is produced in one pass with no intermediate buffer. Both
+/// walks share this one struct, which is what makes their outputs
+/// byte-identical by construction.
+pub struct Normaliser<T> {
+    out: String,
+    tally: T,
     pending_newline: bool,
     pending_space: bool,
 }
 
 impl<T: CharTally> Normaliser<T> {
-    pub(crate) fn new(tally: T) -> Self {
+    pub fn new(tally: T) -> Self {
         Normaliser::with_buffer(String::new(), tally)
     }
 
@@ -216,20 +150,25 @@ impl<T: CharTally> Normaliser<T> {
         }
     }
 
+    /// The normalised text and the tally of its characters.
+    pub fn finish(self) -> (String, T) {
+        (self.out, self.tally)
+    }
+
     #[inline]
     fn emit(&mut self, c: char) {
         self.out.push(c);
         self.tally.push(c);
     }
 
-    pub(crate) fn block_boundary(&mut self) {
+    pub fn block_boundary(&mut self) {
         self.pending_newline = true;
     }
 
     /// Append a text run: whitespace collapses into one pending separator,
     /// and each run of other characters is tallied and copied with one
     /// `push_str`.
-    pub(crate) fn push_text(&mut self, text: &str) {
+    pub fn push_text(&mut self, text: &str) {
         // Start of the run of non-whitespace characters being scanned.
         let mut run: Option<usize> = None;
         for (i, c) in text.char_indices() {
@@ -278,88 +217,65 @@ impl<T: CharTally> Normaliser<T> {
     }
 }
 
-fn walk<T: CharTally>(doc: &Document, id: NodeId, sink: &mut Normaliser<T>) {
-    match &doc.node(id).kind {
-        NodeKind::Text(t) => sink.push_text(t),
-        NodeKind::Comment(_) => {}
-        NodeKind::Document => {
-            for &c in &doc.node(id).children {
-                walk(doc, c, sink);
-            }
-        }
-        NodeKind::Element { name, .. } => {
-            if is_non_rendering(name) || element_hidden(doc, id) {
-                return;
-            }
-            let block = is_block(name);
-            if block {
-                sink.block_boundary();
-            }
-            for &c in &doc.node(id).children {
-                walk(doc, c, sink);
-            }
-            if block {
-                sink.block_boundary();
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::parser::parse;
+    use crate::stream::stream_visible_text_histogram;
+
+    /// The visible text of `html` on the production (streaming) path.
+    fn visible_text(html: &str) -> String {
+        stream_visible_text_histogram(html).0
+    }
 
     #[test]
     fn basic_extraction() {
-        let doc = parse("<html><body><p>Hello</p><p>World</p></body></html>");
-        assert_eq!(visible_text(&doc), "Hello\nWorld");
+        assert_eq!(
+            visible_text("<html><body><p>Hello</p><p>World</p></body></html>"),
+            "Hello\nWorld"
+        );
     }
 
     #[test]
     fn scripts_styles_head_excluded() {
-        let doc = parse(
-            "<html><head><title>T</title><style>.x{}</style></head>\
-             <body><script>var x=1;</script><p>only this</p></body></html>",
-        );
-        assert_eq!(visible_text(&doc), "only this");
+        let html = "<html><head><title>T</title><style>.x{}</style></head>\
+             <body><script>var x=1;</script><p>only this</p></body></html>";
+        assert_eq!(visible_text(html), "only this");
     }
 
     #[test]
     fn hidden_attribute_hides_subtree() {
-        let doc = parse("<div hidden><p>secret</p></div><p>shown</p>");
-        assert_eq!(visible_text(&doc), "shown");
+        assert_eq!(
+            visible_text("<div hidden><p>secret</p></div><p>shown</p>"),
+            "shown"
+        );
     }
 
     #[test]
     fn aria_hidden_true_hides() {
-        let doc = parse(r#"<span aria-hidden="true">x</span><span aria-hidden="false">y</span>"#);
-        assert_eq!(visible_text(&doc), "y");
+        let html = r#"<span aria-hidden="true">x</span><span aria-hidden="false">y</span>"#;
+        assert_eq!(visible_text(html), "y");
     }
 
     #[test]
     fn display_none_hides() {
-        let doc = parse(r#"<div style="display: none">a</div><div style="color:red">b</div>"#);
-        assert_eq!(visible_text(&doc), "b");
-        let doc = parse(r#"<div style="VISIBILITY:HIDDEN">a</div>ok"#);
-        assert_eq!(visible_text(&doc), "ok");
+        let html = r#"<div style="display: none">a</div><div style="color:red">b</div>"#;
+        assert_eq!(visible_text(html), "b");
+        assert_eq!(
+            visible_text(r#"<div style="VISIBILITY:HIDDEN">a</div>ok"#),
+            "ok"
+        );
     }
 
     #[test]
     fn hiding_styles_ignore_any_ascii_whitespace() {
-        // CSS allows any whitespace around the ':'; both paths must hide.
+        // CSS allows any whitespace around the ':'.
         for html in [
             "<div style=\"display:\tnone\">a</div>b",
             "<div style=\"display:\nnone\">a</div>b",
             "<div style=\"visibility :\thidden\">a</div>b",
             "<div style=\"color:red;\r\n  DISPLAY\x0c: NONE\">a</div>b",
         ] {
-            assert_eq!(visible_text(&parse(html)), "b", "{html:?}");
-            assert_eq!(
-                crate::stream_visible_text_histogram(html).0,
-                "b",
-                "{html:?}"
-            );
+            assert_eq!(visible_text(html), "b", "{html:?}");
         }
         for shown in ["display:block", "display: nine", "visibility:visible"] {
             assert!(!style_hides(shown), "{shown:?}");
@@ -381,81 +297,41 @@ mod tests {
         );
         let (done, finished) = std::sync::mpsc::channel();
         std::thread::spawn(move || {
-            let dom = visible_text(&parse(&html));
-            let streamed = crate::stream_visible_text_histogram(&html).0;
-            let _ = done.send((dom, streamed));
+            let _ = done.send(visible_text(&html));
         });
-        let (dom, streamed) = finished
+        let streamed = finished
             .recv_timeout(std::time::Duration::from_secs(30))
             .expect("the style scan did not finish in 30 s");
-        assert_eq!(dom, "a\nc");
         assert_eq!(streamed, "a\nc");
     }
 
     #[test]
     fn inline_elements_do_not_break_words() {
-        let doc = parse("<p>he<b>ll</b>o</p>");
-        assert_eq!(visible_text(&doc), "hello");
+        assert_eq!(visible_text("<p>he<b>ll</b>o</p>"), "hello");
     }
 
     #[test]
     fn whitespace_collapses() {
-        let doc = parse("<p>a   b\n\t c</p>");
-        assert_eq!(visible_text(&doc), "a b c");
+        assert_eq!(visible_text("<p>a   b\n\t c</p>"), "a b c");
     }
 
     #[test]
     fn multilingual_text_preserved() {
-        let doc = parse("<p>নমস্কার বিশ্ব</p><p>हिन्दी</p>");
-        assert_eq!(visible_text(&doc), "নমস্কার বিশ্ব\nहिन्दी");
-    }
-
-    #[test]
-    fn is_visible_checks_ancestors() {
-        let doc = parse(r#"<div hidden><p id="x">a</p></div>"#);
-        let p = doc.elements_named("p").next().unwrap();
-        assert!(!is_visible(&doc, p));
-        let doc2 = parse(r#"<div><p>a</p></div>"#);
-        let p2 = doc2.elements_named("p").next().unwrap();
-        assert!(is_visible(&doc2, p2));
+        assert_eq!(
+            visible_text("<p>নমস্কার বিশ্ব</p><p>हिन्दी</p>"),
+            "নমস্কার বিশ্ব\nहिन्दी"
+        );
     }
 
     #[test]
     fn title_not_visible_but_extractable() {
-        let doc = parse("<head><title>Site Name</title></head><body>body</body>");
-        assert_eq!(visible_text(&doc), "body");
-        let title = doc.elements_named("title").next().unwrap();
-        assert_eq!(doc.text_content(title), "Site Name");
+        let html = "<head><title>Site Name</title></head><body>body</body>";
+        assert_eq!(visible_text(html), "body");
     }
 
     #[test]
     fn empty_document() {
-        assert_eq!(visible_text(&parse("")), "");
-        assert_eq!(visible_text(&parse("<div></div>")), "");
-    }
-
-    #[test]
-    fn fused_histogram_matches_rescan() {
-        let pages = [
-            "",
-            "<p>Hello</p><p>World 123</p>",
-            "<p>নমস্কার বিশ্ব</p><div hidden>secret латиница</div><p>हिन्दी ok</p>",
-            "<html lang=th><body><p>สวัสดี  ชาวโลก</p><script>var x;</script></body></html>",
-            "<ul><li>中文</li><li>日本語です</li><li>한국어</li></ul>",
-        ];
-        for html in pages {
-            let doc = parse(html);
-            let (text, hist) = visible_text_histogram(&doc);
-            assert_eq!(text, visible_text(&doc), "{html}");
-            assert_eq!(hist, ScriptHistogram::of(&text), "{html}");
-        }
-    }
-
-    #[test]
-    fn fused_text_identical_to_plain_walk() {
-        let html = "<div>a <b>b</b>\u{1}c</div><p>  d  </p>";
-        let doc = parse(html);
-        let (text, _) = visible_text_histogram(&doc);
-        assert_eq!(text, visible_text(&doc));
+        assert_eq!(visible_text(""), "");
+        assert_eq!(visible_text("<div></div>"), "");
     }
 }

@@ -129,9 +129,9 @@ fn analyse(element: &ExtractedElement, study: Language, page: Language) -> Eleme
 #[cfg(test)]
 mod tests {
     use super::*;
-    use langcrux_crawl::{char_len, extract, word_count};
+    use langcrux_crawl::extract_streaming;
     use langcrux_filter::classify;
-    use langcrux_html::parse;
+    use langcrux_oracle::{char_len, word_count};
 
     const PAGE: &str = r#"<html lang="th"><head><title>ข่าววันนี้</title></head><body>
         <p>ข่าววันนี้ของประเทศไทยทั้งหมดและเหตุการณ์สำคัญ</p>
@@ -143,7 +143,7 @@ mod tests {
 
     #[test]
     fn elements_carry_the_per_text_verdicts() {
-        let page = extract(&parse(PAGE));
+        let page = extract_streaming(PAGE);
         let analysis = PageAnalysis::new(&page, Some(Language::Thai));
         assert_eq!(analysis.language, Some(Language::Thai));
         assert_eq!(analysis.elements.len(), page.elements.len());
@@ -169,7 +169,7 @@ mod tests {
 
     #[test]
     fn study_and_page_labels_differ_when_the_languages_do() {
-        let page = extract(&parse(PAGE));
+        let page = extract_streaming(PAGE);
         // Judged for a Bangla study on a page fixed as Thai: the Thai alt is
         // Native to the page but other-language to the study.
         let analysis =
@@ -184,7 +184,7 @@ mod tests {
 
     #[test]
     fn informative_labels_skip_missing_blank_and_filtered_texts() {
-        let page = extract(&parse(PAGE));
+        let page = extract_streaming(PAGE);
         let analysis = PageAnalysis::new(&page, None);
         let alts: Vec<_> = analysis
             .of_kind(ElementKind::ImageAlt)
@@ -214,7 +214,7 @@ mod tests {
 
     #[test]
     fn undetermined_pages_judge_names_against_english() {
-        let page = extract(&parse(r#"<p>123</p><img src=a alt="harbour at night">"#));
+        let page = extract_streaming(r#"<p>123</p><img src=a alt="harbour at night">"#);
         let analysis = PageAnalysis::new(&page, None);
         assert_eq!(analysis.language, None);
         let alt = analysis.of_kind(ElementKind::ImageAlt).next().unwrap();

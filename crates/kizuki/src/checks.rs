@@ -166,12 +166,11 @@ impl LanguageAwareCheck for LinkLanguageCheck {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use langcrux_crawl::{extract, PageExtract};
-    use langcrux_html::parse;
+    use langcrux_crawl::{extract_streaming, PageExtract};
     use langcrux_lang::Language;
 
     fn page(html: &str) -> PageExtract {
-        extract(&parse(html))
+        extract_streaming(html)
     }
 
     /// The analysis the engine hands its checks, with the page language

@@ -159,11 +159,10 @@ impl Kizuki {
 mod tests {
     use super::*;
     use langcrux_audit::audit_page;
-    use langcrux_crawl::extract;
-    use langcrux_html::parse;
+    use langcrux_crawl::extract_streaming;
 
     fn page(html: &str) -> PageExtract {
-        extract(&parse(html))
+        extract_streaming(html)
     }
 
     #[test]

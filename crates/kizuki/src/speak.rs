@@ -339,11 +339,10 @@ impl SpeechStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use langcrux_crawl::extract;
-    use langcrux_html::parse;
+    use langcrux_crawl::extract_streaming;
 
     fn page(html: &str) -> PageExtract {
-        extract(&parse(html))
+        extract_streaming(html)
     }
 
     #[test]
@@ -468,7 +467,6 @@ mod tests {
     #[test]
     fn gap_outcomes_depend_on_the_selected_engine() {
         use langcrux_audit::gap_report;
-        use langcrux_crawl::extract_streaming;
 
         let bn_body = "বাংলাদেশের সংবাদপত্রে প্রতিদিন নতুন খবর প্রকাশিত হয় এবং পাঠকেরা তা পড়েন। \
             দেশের বিভিন্ন অঞ্চল থেকে সংবাদদাতারা প্রতিবেদন পাঠান এবং সম্পাদকেরা তা প্রকাশ করেন";

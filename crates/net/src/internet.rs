@@ -19,12 +19,10 @@
 use crate::fault::{FaultDice, FaultPlan, RollPurpose};
 use crate::geo::{provider, Vantage};
 use crate::types::{ContentVariant, FetchError, Request, Response};
-use bytes::Bytes;
 use langcrux_lang::Country;
-use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// A site's content provider: renders the page body for a variant.
 ///
@@ -289,7 +287,15 @@ impl Internet {
 
     /// Snapshot of the traffic counters.
     pub fn metrics(&self) -> NetMetrics {
-        self.metrics.lock().clone()
+        self.lock_metrics().clone()
+    }
+
+    /// The traffic counters, locked. They are plain integers that no
+    /// panic can leave half-written, so a lock poisoned by a panicking
+    /// holder is taken over rather than turning every later fetch into a
+    /// panic.
+    fn lock_metrics(&self) -> MutexGuard<'_, NetMetrics> {
+        self.metrics.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// The workspace seed the fault rolls derive from. Exposed so the
@@ -322,7 +328,7 @@ impl Internet {
         Ok(Response {
             url: req.url.clone(),
             status: meta.status,
-            body: Bytes::from(body),
+            body: body.into_bytes().into(),
             variant: meta.variant,
             latency_ms: meta.latency_ms,
         })
@@ -336,7 +342,7 @@ impl Internet {
         // Clear up front so an error return cannot leave a previous
         // visit's page in the caller's reused buffer.
         body.clear();
-        let mut m = self.metrics.lock();
+        let mut m = self.lock_metrics();
         m.requests += 1;
         drop(m);
 
@@ -358,7 +364,7 @@ impl Internet {
                 match resolved {
                     Some(meta) => (meta, None),
                     None => {
-                        self.metrics.lock().unknown_hosts += 1;
+                        self.lock_metrics().unknown_hosts += 1;
                         return Err(FetchError::UnknownHost(req.url.host.clone()));
                     }
                 }
@@ -368,15 +374,15 @@ impl Internet {
         let dice = FaultDice::new(self.seed, &req.url.host, req.attempt);
 
         if dice.fires(RollPurpose::Timeout, self.plan.timeout_chance) {
-            self.metrics.lock().timeouts += 1;
+            self.lock_metrics().timeouts += 1;
             return Err(FetchError::Timeout);
         }
         if dice.fires(RollPurpose::Reset, self.plan.reset_chance) {
-            self.metrics.lock().resets += 1;
+            self.lock_metrics().resets += 1;
             return Err(FetchError::ConnectionReset);
         }
         if dice.fires(RollPurpose::ServerError, self.plan.server_error_chance) {
-            self.metrics.lock().server_errors += 1;
+            self.lock_metrics().server_errors += 1;
             return Err(FetchError::ServerError(dice.server_error_code()));
         }
 
@@ -413,7 +419,7 @@ impl Internet {
 
         let latency = dice.latency_ms(&self.plan);
 
-        let mut m = self.metrics.lock();
+        let mut m = self.lock_metrics();
         match variant {
             ContentVariant::Localized => m.localized_responses += 1,
             ContentVariant::Global => m.global_responses += 1,
@@ -460,7 +466,7 @@ impl Internet {
                     let p_detect = host.vpn_detecting
                         * (provider_detectability(&req.vantage) + self.plan.extra_vpn_detection);
                     if dice.fires(RollPurpose::VpnDetection, p_detect.min(1.0)) {
-                        self.metrics.lock().vpn_detections += 1;
+                        self.lock_metrics().vpn_detections += 1;
                         return Ok(ContentVariant::Restricted);
                     }
                 }
@@ -469,7 +475,7 @@ impl Internet {
             _ => {
                 // Foreign vantage: occasionally geo-blocked, usually global.
                 if dice.fires(RollPurpose::GeoBlock, host.geo_block) {
-                    self.metrics.lock().geo_blocks += 1;
+                    self.lock_metrics().geo_blocks += 1;
                     return Err(FetchError::GeoBlocked);
                 }
                 Ok(ContentVariant::Global)

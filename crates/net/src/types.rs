@@ -2,9 +2,9 @@
 
 use crate::geo::Vantage;
 use crate::url::Url;
-use bytes::Bytes;
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::sync::Arc;
 
 /// Which variant of a site's content a response carries.
 ///
@@ -55,7 +55,7 @@ impl Request {
 pub struct Response {
     pub url: Url,
     pub status: u16,
-    pub body: Bytes,
+    pub body: Arc<[u8]>,
     pub variant: ContentVariant,
     pub latency_ms: u32,
 }
@@ -132,7 +132,7 @@ mod tests {
         let r = Response {
             url: Url::from_host("a.bd"),
             status: 200,
-            body: Bytes::from("<html>হ্যালো</html>"),
+            body: Arc::from("<html>হ্যালো</html>".as_bytes()),
             variant: ContentVariant::Localized,
             latency_ms: 80,
         };

@@ -3,14 +3,13 @@
 //! Nodes live in a flat `Vec` and refer to each other by [`NodeId`]
 //! indices — no `Rc<RefCell<…>>` cycles, cheap traversal, and the whole
 //! document drops in one free. The shape mirrors what the measurement
-//! pipeline needs: elements with attributes, text, and parent/child links.
+//! needs: elements with attributes, text, and parent/child links.
 
-use crate::tokenizer::Attribute;
-use serde::{Deserialize, Serialize};
+use langcrux_html::tokenizer::Attribute;
 
 /// Index of a node within its [`Document`] arena.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub struct NodeId(pub(crate) usize);
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct NodeId(usize);
 
 impl NodeId {
     /// The document root node id.
@@ -63,11 +62,6 @@ impl Document {
             }],
             doctype: None,
         }
-    }
-
-    /// Number of nodes, including the root.
-    pub fn len(&self) -> usize {
-        self.nodes.len()
     }
 
     /// True if the document has no content nodes.
@@ -143,8 +137,7 @@ impl Document {
     }
 
     /// Concatenated text content of a subtree (all Text descendants,
-    /// unconditionally — visibility-aware extraction lives in
-    /// [`crate::visible`]).
+    /// unconditionally — visibility-aware text is [`crate::visible`]'s).
     pub fn text_content(&self, root: NodeId) -> String {
         let mut out = String::new();
         let include_root = matches!(self.node(root).kind, NodeKind::Text(_));

@@ -6,41 +6,13 @@
 //! the end tag if none matches). It does not implement the full HTML5
 //! insertion modes (no foster parenting, no active formatting elements) —
 //! the corpus generator never emits such constructs, and for wild HTML the
-//! recovery rules keep extraction sane.
+//! recovery rules keep extraction sane. The void and implicit-close rules
+//! are the ones the streaming walk emulates its stack with
+//! ([`langcrux_html::stream`]).
 
 use crate::dom::{Document, NodeId, NodeKind};
-use crate::tokenizer::{tokenize, Token};
-
-/// Elements that never have children.
-pub fn is_void_element(name: &str) -> bool {
-    matches!(
-        name,
-        "area"
-            | "base"
-            | "br"
-            | "col"
-            | "embed"
-            | "hr"
-            | "img"
-            | "input"
-            | "link"
-            | "meta"
-            | "param"
-            | "source"
-            | "track"
-            | "wbr"
-    )
-}
-
-/// Elements that implicitly close an open element of the same name
-/// (`<li>`, `<p>`, table rows/cells, options). Shared with the streaming
-/// walk ([`crate::stream`]), which emulates this tree builder's stack.
-pub(crate) fn closes_same(name: &str) -> bool {
-    matches!(
-        name,
-        "li" | "p" | "tr" | "td" | "th" | "option" | "dt" | "dd"
-    )
-}
+use langcrux_html::stream::{closes_same, is_void_element};
+use langcrux_html::tokenizer::{tokenize, Token};
 
 /// Parse an HTML string into a [`Document`]. Never fails; bad markup
 /// degrades to a best-effort tree.
@@ -110,6 +82,8 @@ pub fn parse(input: &str) -> Document {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::visible::visible_text;
+    use langcrux_html::HtmlBuilder;
 
     #[test]
     fn parses_nested_structure() {
@@ -203,6 +177,35 @@ mod tests {
         s.push_str("deep");
         let doc = parse(&s);
         assert_eq!(doc.elements_named("div").count(), 3000);
+    }
+
+    #[test]
+    fn builds_wellformed_document() {
+        let mut b = HtmlBuilder::document();
+        b.open("html", &[("lang", Some("bn"))]);
+        b.open("body", &[]);
+        b.leaf("p", &[], "নমস্কার");
+        b.void("img", &[("src", Some("/a.png")), ("alt", Some("ছবি"))]);
+        b.close(); // body
+        b.close(); // html
+        let html = b.finish();
+        assert!(html.starts_with("<!DOCTYPE html>"));
+        let doc = parse(&html);
+        assert_eq!(visible_text(&doc), "নমস্কার");
+        let img = doc.elements_named("img").next().unwrap();
+        assert_eq!(doc.attr(img, "alt"), Some("ছবি"));
+    }
+
+    #[test]
+    fn escaping_round_trips() {
+        let tricky = r#"5 < 6 & "quotes" > 4"#;
+        let mut b = HtmlBuilder::fragment();
+        b.leaf("p", &[("title", Some(tricky))], tricky);
+        let html = b.finish();
+        let doc = parse(&html);
+        let p = doc.elements_named("p").next().unwrap();
+        assert_eq!(doc.attr(p, "title"), Some(tricky));
+        assert_eq!(doc.text_content(p), tricky);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Property-based tests for the HTML engine.
+//! Property-based tests for the HTML engine and the extractors.
 //!
 //! Invariants:
 //! 1. The tokenizer and parser never panic on arbitrary input.
@@ -8,13 +8,14 @@
 //! 4. Visible text of built pages never contains markup characters.
 //! 5. The streaming tokenize→extract path is byte- and
 //!    histogram-identical to parse-then-walk on arbitrary markup.
+//! 6. The streaming extractor's whole `PageExtract` equals the DOM
+//!    extractor's on arbitrary markup.
 
+use langcrux_crawl::extract_streaming;
 use langcrux_html::entities::{decode, escape_attr, escape_text};
-use langcrux_html::{
-    parse, serialize, stream_visible_text_histogram, visible_text, visible_text_histogram,
-    HtmlBuilder,
-};
+use langcrux_html::{stream_visible_text_histogram, HtmlBuilder};
 use langcrux_lang::script::ScriptHistogram;
+use langcrux_oracle::{extract, parse, visible_text, visible_text_histogram};
 use proptest::prelude::*;
 
 proptest! {
@@ -65,17 +66,6 @@ proptest! {
         let doc = parse(&b.finish());
         let vis = visible_text(&doc);
         prop_assert!(!vis.contains('<') && !vis.contains('>'));
-    }
-
-    #[test]
-    fn serialize_reaches_fixed_point(input in "(<[a-z]{1,6}( [a-z]{1,4}=\"[a-z0-9 ]{0,8}\")?>|</[a-z]{1,6}>|[a-z\u{995}\u{E01} ]{0,12}){0,24}") {
-        // parse → serialize → parse → serialize must be stable, and the
-        // visible text must survive the round trip.
-        let once = parse(&input);
-        let emitted = serialize(&once);
-        let twice = parse(&emitted);
-        prop_assert_eq!(serialize(&twice), emitted);
-        prop_assert_eq!(visible_text(&twice), visible_text(&once));
     }
 
     #[test]
@@ -164,5 +154,15 @@ proptest! {
         let (stream_text, stream_hist) = stream_visible_text_histogram(&html);
         prop_assert_eq!(stream_text, dom_text);
         prop_assert_eq!(stream_hist, dom_hist);
+    }
+
+    #[test]
+    fn streaming_page_extract_matches_dom_on_arbitrary_markup(
+        input in "(<(a|p|div|img|button|label|input|select|title|svg|script|li)( (hidden|href=\"/x\"|for=\"i\"|id=\"i\"|alt=\"ছবি\"|aria-label=\"x\"|type=\"text\"|role=\"img\"))?/?>|</(a|p|div|button|label|select|title|svg|script|li)>|&[a-z#0-9]{0,6};?|[a-z\\u{995}\\u{E01} ]{0,10}){0,30}",
+    ) {
+        // Markup biased toward the tags the extractor cares about, with
+        // hiding/labelling attributes, broken nesting, raw text, and
+        // partial entities.
+        prop_assert_eq!(extract_streaming(&input), extract(&parse(&input)));
     }
 }

@@ -4,9 +4,12 @@
 //! keys the serialized JSON response by an FNV-1a hash of the raw request
 //! body and answers cache hits byte-identically. The map is split into
 //! [`ShardedCache::shard_count`] shards, each behind its own
-//! `parking_lot::Mutex`, so concurrent hits on different pages contend
+//! `std::sync::Mutex`, so concurrent hits on different pages contend
 //! only when they land on the same shard — the classic striped-lock
-//! layout of production response caches.
+//! layout of production response caches. Audits compute outside the
+//! shard locks, and no panic leaves a shard half-updated, so a lock
+//! poisoned by a panicking request is taken over: one panic never turns
+//! later requests into panics.
 //!
 //! Eviction is exact LRU per shard: every entry carries the shard's
 //! monotonic access tick; inserting into a full shard evicts the entry
@@ -15,11 +18,10 @@
 //! intrusive list — and trivially correct, which the eviction-order tests
 //! exercise directly.
 
-use parking_lot::Mutex;
 use serde::Serialize;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// 64-bit FNV-1a over arbitrary bytes.
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
@@ -91,6 +93,11 @@ pub struct CacheSnapshot {
     pub hit_rate: f64,
 }
 
+/// Lock one shard, taking a poisoned lock over (see the module docs).
+fn lock_shard(shard: &Mutex<Shard>) -> MutexGuard<'_, Shard> {
+    shard.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 /// The sharded LRU response cache.
 pub struct ShardedCache {
     shards: Vec<Mutex<Shard>>,
@@ -136,7 +143,7 @@ impl ShardedCache {
 
     /// Look up a key, bumping its recency on hit.
     pub fn get(&self, key: CacheKey) -> Option<Arc<Vec<u8>>> {
-        let mut shard = self.shards[self.shard_of(key)].lock();
+        let mut shard = lock_shard(&self.shards[self.shard_of(key)]);
         shard.tick += 1;
         let tick = shard.tick;
         match shard.entries.get_mut(&key) {
@@ -158,7 +165,7 @@ impl ShardedCache {
     /// Insert (or refresh) a value, evicting the shard's LRU entry when
     /// full.
     pub fn insert(&self, key: CacheKey, value: Arc<Vec<u8>>) {
-        let mut shard = self.shards[self.shard_of(key)].lock();
+        let mut shard = lock_shard(&self.shards[self.shard_of(key)]);
         shard.tick += 1;
         let tick = shard.tick;
         if !shard.entries.contains_key(&key) && shard.entries.len() >= self.capacity_per_shard {
@@ -199,7 +206,10 @@ impl ShardedCache {
 
     /// Total entries across shards.
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().entries.len()).sum()
+        self.shards
+            .iter()
+            .map(|s| lock_shard(s).entries.len())
+            .sum()
     }
 
     pub fn is_empty(&self) -> bool {
@@ -208,7 +218,10 @@ impl ShardedCache {
 
     /// Entries per shard, in shard order (used by the striping tests).
     pub fn shard_lens(&self) -> Vec<usize> {
-        self.shards.iter().map(|s| s.lock().entries.len()).collect()
+        self.shards
+            .iter()
+            .map(|s| lock_shard(s).entries.len())
+            .collect()
     }
 
     pub fn hits(&self) -> u64 {

@@ -25,9 +25,9 @@
 //! logic is unit-testable without sockets; the server instantiates it
 //! with `TcpStream`.
 
-use parking_lot::Mutex;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Where an arriving connection goes.
 #[derive(Debug, PartialEq, Eq)]
@@ -69,7 +69,7 @@ impl<T> Governor<T> {
             return Admission::Serve(conn);
         }
         {
-            let mut queue = self.queue.lock();
+            let mut queue = self.lock_queue();
             if queue.len() >= self.queue_cap {
                 return Admission::Shed(conn);
             }
@@ -81,7 +81,7 @@ impl<T> Governor<T> {
         // claim it and serve the queue head (not necessarily the
         // connection we just pushed — FIFO order is the fairness here).
         if self.try_claim_slot() {
-            match self.queue.lock().pop_front() {
+            match self.lock_queue().pop_front() {
                 Some(waiter) => return Admission::Serve(waiter),
                 None => self.release_slot(),
             }
@@ -95,7 +95,7 @@ impl<T> Governor<T> {
     /// are refused at shutdown, not served).
     pub fn finish(&self, serve_queued: bool) -> Option<T> {
         if serve_queued {
-            if let Some(next) = self.queue.lock().pop_front() {
+            if let Some(next) = self.lock_queue().pop_front() {
                 return Some(next);
             }
         }
@@ -106,7 +106,14 @@ impl<T> Governor<T> {
     /// Empty the pending queue (shutdown: dropping a `TcpStream` closes
     /// the socket, which is the refusal).
     pub fn drain_queue(&self) -> Vec<T> {
-        self.queue.lock().drain(..).collect()
+        self.lock_queue().drain(..).collect()
+    }
+
+    /// The pending queue, locked. Each operation on it is a single push,
+    /// pop or drain, so a lock poisoned by a panicking holder is taken
+    /// over rather than turning every later admission into a panic.
+    fn lock_queue(&self) -> MutexGuard<'_, VecDeque<T>> {
+        self.queue.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Live connections holding slots.

@@ -16,7 +16,7 @@
 //! * [`governor`] — bounded admission: hard connection cap, bounded
 //!   pending queue, `503 + Retry-After` shedding beyond both.
 //! * [`cache`] — sharded, content-hash-keyed LRU response cache
-//!   (FNV-1a keys, per-shard `parking_lot` mutexes, exact-LRU eviction).
+//!   (FNV-1a keys, per-shard mutexes, exact-LRU eviction).
 //! * [`service`] — the audit engine façade: HTML in, deterministic
 //!   [`AuditResponse`] JSON out (fused extraction, `audit::rules`,
 //!   Kizuki rescoring via the carried histogram, speak-order pass).
@@ -62,8 +62,8 @@ pub use http::{Limits, ParseError, Request, RequestParser, Response};
 pub use loadgen::{run_load, LoadGenRun};
 pub use pidfile::{claim as claim_pidfile, examine as examine_pidfile, PidFileDoc, PidFileStatus};
 pub use server::{
-    batch_buffered, encode_stats, prometheus_text, route, spawn, Routed, RpcHook, ServeConfig,
-    ServeState, ServerHandle, StatsSnapshot,
+    encode_stats, prometheus_text, route, spawn, Routed, RpcHook, ServeConfig, ServeState,
+    ServerHandle, StatsSnapshot,
 };
 pub use service::{AuditResponse, AuditService, ScriptSlice};
 pub use stats::{

@@ -537,36 +537,10 @@ pub fn route(state: &ServeState, request: &Request) -> Routed {
     }
 }
 
-/// The pre-streaming buffered batch body: every element spliced into one
-/// array, each byte-identical to its single-audit bytes. Kept as the
-/// equivalence oracle for the streaming path (the de-chunked streamed
-/// response must equal these bytes exactly) and for in-process callers
-/// that want the whole document in memory. Uses the shared response
-/// cache but does not touch the request counters.
-pub fn batch_buffered(state: &ServeState, pages: &[String]) -> Vec<u8> {
-    let reports: Vec<Arc<Vec<u8>>> = run_work_stealing(state.batch_threads(), pages, |_, page| {
-        let (bytes, _hit) = state
-            .cache
-            .get_or_compute(page.as_bytes(), || state.service.audit_json(page));
-        bytes
-    });
-    let total: usize = reports.iter().map(|r| r.len() + 1).sum();
-    let mut body = Vec::with_capacity(total + 2);
-    body.push(b'[');
-    for (i, report) in reports.iter().enumerate() {
-        if i > 0 {
-            body.push(b',');
-        }
-        body.extend_from_slice(report);
-    }
-    body.push(b']');
-    body
-}
-
 /// Stream one batch response: chunked encoding, elements written in
 /// order as the work-stealing pool completes them, at most a bounded
-/// reorder window of elements in memory. The de-chunked bytes are
-/// byte-identical to [`batch_buffered`] for the same pages.
+/// reorder window of elements in memory. De-chunked, the body is the
+/// pages' single-audit bytes spliced in order into one JSON array.
 fn stream_batch(
     stream: &mut TcpStream,
     state: &ServeState,
@@ -874,9 +848,8 @@ fn handle_connection(
                     // leave half-updated survives the unwind in a broken
                     // state: the counters, latency histogram and cache
                     // statistics are atomics; the cache computes outside
-                    // its shard locks, which are `parking_lot` mutexes
-                    // (released on unwind, never poisoned); the metrics
-                    // registry recovers its lock from poisoning; and the
+                    // its shard locks and, like the metrics registry,
+                    // takes over a lock that a panic poisoned; and the
                     // extraction scratch drops whatever a panicking call
                     // took. An RPC hook's own state is the embedder's.
                     let routed = match catch_unwind(AssertUnwindSafe(|| route(state, &request))) {
@@ -1092,12 +1065,8 @@ mod tests {
     }
 
     #[test]
-    fn batch_route_parses_pages_and_oracle_splices_single_audit_bytes() {
+    fn batch_route_parses_pages_into_the_streaming_arm() {
         let state = test_state();
-        let single = full(route(
-            &state,
-            &request("POST", "/v1/audit", PAGE.as_bytes()),
-        ));
         let batch_body = serde_json::to_string(&vec![PAGE.to_string(), PAGE.to_string()]).unwrap();
         let routed = route(&state, &request("POST", "/v1/batch", batch_body.as_bytes()));
         let Routed::BatchStream { pages, keep_alive } = routed else {
@@ -1105,13 +1074,8 @@ mod tests {
         };
         assert!(keep_alive);
         assert_eq!(pages, vec![PAGE.to_string(), PAGE.to_string()]);
-        // The buffered oracle splices per-page bytes identical to the
-        // single-audit response; the live streaming path is pinned
-        // byte-identical to this oracle in tests/batch_stream.rs.
-        let expected_single = String::from_utf8(single.body.to_vec()).unwrap();
-        let expected = format!("[{expected_single},{expected_single}]");
-        let oracle = String::from_utf8(batch_buffered(&state, &pages)).unwrap();
-        assert_eq!(oracle, expected);
+        // What the streaming arm writes for these pages is pinned in
+        // tests/batch_stream.rs.
     }
 
     #[test]
@@ -1377,19 +1341,5 @@ mod tests {
             405
         );
         assert_eq!(state.counters.snapshot().errors, 3);
-    }
-
-    #[test]
-    fn batch_buffered_empty_and_single() {
-        let state = test_state();
-        assert_eq!(batch_buffered(&state, &[]), b"[]");
-        let one = batch_buffered(&state, &[PAGE.to_string()]);
-        assert_eq!(one.first(), Some(&b'['));
-        assert_eq!(one.last(), Some(&b']'));
-        let single = full(route(
-            &state,
-            &request("POST", "/v1/audit", PAGE.as_bytes()),
-        ));
-        assert_eq!(&one[1..one.len() - 1], single.body.as_slice());
     }
 }

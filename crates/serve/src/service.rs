@@ -96,7 +96,8 @@ impl AuditService {
 
     /// Audit an already-extracted page (the extraction path is the only
     /// thing [`audit`](Self::audit) adds — tests use this to pin the
-    /// streaming path byte-identical to the DOM oracle).
+    /// streaming path byte-identical to the `langcrux-oracle` DOM
+    /// extractor).
     fn audit_extract(&self, page: langcrux_crawl::PageExtract, html: &str) -> AuditResponse {
         // One pass per text and one language detection, shared by Kizuki,
         // gap speech and the speak order.
@@ -200,7 +201,7 @@ mod tests {
             "<button>অনুসন্ধান</button><img src=x>",
             "<ul><li>ข่าววันนี้<li>อ่านต่อ</ul><script>skip()</script>",
         ] {
-            let dom_page = langcrux_crawl::extract(&langcrux_html::parse(html));
+            let dom_page = langcrux_oracle::extract(&langcrux_oracle::parse(html));
             let dom_bytes = serde_json::to_string(&service.audit_extract(dom_page, html)).unwrap();
             assert_eq!(dom_bytes.into_bytes(), service.audit_json(html), "{html:?}");
         }

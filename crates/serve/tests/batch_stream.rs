@@ -1,12 +1,16 @@
 //! Streaming-batch equivalence: the chunked `/v1/batch` response, after
-//! de-chunking, must be byte-identical to the pre-streaming buffered
-//! array (`batch_buffered`, the oracle) — for empty, single-element, and
-//! random multi-page batches — and a large batch must stream through a
-//! bounded reorder buffer instead of materializing the whole array
-//! (asserted via the `peak_batch_buffer` gauge on `/v1/stats`).
+//! de-chunking, must be byte-identical to the buffered array
+//! (`common::batch_buffered`, the oracle, itself pinned to splice the
+//! single-audit bytes) — for empty, single-element, and random
+//! multi-page batches — and a large batch must stream through a bounded
+//! reorder buffer instead of materializing the whole array (asserted via
+//! the `peak_batch_buffer` gauge on `/v1/stats`).
 
+mod common;
+
+use common::batch_buffered;
 use langcrux_serve::loadgen::{get, post};
-use langcrux_serve::{batch_buffered, spawn, ServeConfig, ServerHandle};
+use langcrux_serve::{spawn, ServeConfig, ServerHandle};
 
 use langcrux_webgen::{render, SitePlan};
 use std::io::{Read, Write};
@@ -24,6 +28,33 @@ fn connect(server: &ServerHandle) -> TcpStream {
     let stream = TcpStream::connect(server.addr()).expect("connect");
     stream.set_nodelay(true).expect("nodelay");
     stream
+}
+
+#[test]
+fn buffered_oracle_splices_single_audit_bytes() {
+    let server = spawn(ServeConfig {
+        batch_threads: 2,
+        ..ServeConfig::default()
+    })
+    .expect("spawn");
+    let page = corpus_page(0);
+    let mut stream = connect(&server);
+    let mut scratch = Vec::new();
+    let (status, single) =
+        post(&mut stream, "/v1/audit", page.as_bytes(), &mut scratch).expect("audit");
+    assert_eq!(status, 200);
+    let single = String::from_utf8(single).expect("utf8 json");
+    let state = server.state();
+    assert_eq!(batch_buffered(state, &[]), b"[]");
+    assert_eq!(
+        batch_buffered(state, std::slice::from_ref(&page)),
+        format!("[{single}]").into_bytes()
+    );
+    assert_eq!(
+        batch_buffered(state, &[page.clone(), page]),
+        format!("[{single},{single}]").into_bytes()
+    );
+    server.shutdown();
 }
 
 #[test]

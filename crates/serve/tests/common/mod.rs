@@ -1,6 +1,10 @@
-//! Live-server replay shared by the parser proptest suites.
+//! Support shared by the serve suites: a live-server replay for the
+//! parser proptests, and the buffered batch oracle for `batch_stream`.
+//! Each suite that declares `mod common;` uses one of the two.
 
-use langcrux_serve::{spawn, ServeConfig};
+#![allow(dead_code)]
+
+use langcrux_serve::{spawn, ServeConfig, ServeState};
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::time::Duration;
@@ -27,4 +31,23 @@ pub fn replay_torn(raw: &[u8], cut: usize) -> Vec<u8> {
     let _ = stream.read_to_end(&mut out);
     server.shutdown();
     out
+}
+
+/// The batch body built the direct way: each page's single-audit bytes,
+/// through the shared response cache, spliced in order into one JSON
+/// array. The de-chunked `POST /v1/batch` stream must equal it byte for
+/// byte. Leaves the request counters alone.
+pub fn batch_buffered(state: &ServeState, pages: &[String]) -> Vec<u8> {
+    let mut body = vec![b'['];
+    for (i, page) in pages.iter().enumerate() {
+        if i > 0 {
+            body.push(b',');
+        }
+        let (bytes, _hit) = state
+            .cache
+            .get_or_compute(page.as_bytes(), || state.service.audit_json(page));
+        body.extend_from_slice(&bytes);
+    }
+    body.push(b']');
+    body
 }

@@ -258,8 +258,10 @@ fn connection_cap_storm(queue: usize) {
     let deadline = Instant::now() + Duration::from_secs(2);
     let recovered = loop {
         let mut client = connect(&server);
+        // `Connection: close`, so the read below ends with the answer
+        // instead of waiting out the server's idle timeout.
         client
-            .write_all(b"GET /v1/healthz HTTP/1.1\r\nHost: retry\r\n\r\n")
+            .write_all(b"GET /v1/healthz HTTP/1.1\r\nHost: retry\r\nConnection: close\r\n\r\n")
             .expect("retry write");
         let text = read_to_end_string(&mut client);
         if text.starts_with("HTTP/1.1 200 ") {
@@ -494,8 +496,16 @@ fn graceful_drain_completes_in_flight_and_refuses_new() {
         post(&mut stream, "/v1/batch", payload.as_bytes(), &mut scratch)
     });
 
-    // Let the batch get in flight, then drain.
-    std::thread::sleep(Duration::from_millis(20));
+    // Drain only once the batch is in flight. The cache counts a miss
+    // before it computes, and it is cold, so a miss means the accept
+    // loop has taken the connection and the batch is running; before
+    // that, a shutdown would drop the connection from the listen backlog
+    // unread.
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while server.state().cache.misses() == 0 {
+        assert!(Instant::now() < deadline, "the batch was never admitted");
+        std::thread::sleep(Duration::from_millis(1));
+    }
     let stats = server.shutdown();
 
     let (status, body) = client

@@ -1175,8 +1175,8 @@ impl<'a> Renderer<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use langcrux_html::{parse, visible_text};
     use langcrux_lang::Country;
+    use langcrux_oracle::{parse, visible_text};
 
     fn plan(country: Country, idx: u32) -> SitePlan {
         SitePlan::build(1234, country, idx, Some(true))

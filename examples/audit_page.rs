@@ -11,8 +11,7 @@
 //! ```
 
 use langcrux::audit::audit_page;
-use langcrux::crawl::extract;
-use langcrux::html::parse;
+use langcrux::crawl::extract_streaming;
 use langcrux::kizuki::{Kizuki, LinkLanguageCheck};
 
 const DEMO: &str = r#"<!DOCTYPE html>
@@ -41,8 +40,7 @@ fn main() {
         None => DEMO.to_string(),
     };
 
-    let doc = parse(&html);
-    let page = extract(&doc);
+    let page = extract_streaming(&html);
     println!(
         "extracted {} accessibility elements; visible text: {} chars",
         page.elements.len(),

@@ -11,8 +11,7 @@
 //! ```
 
 use langcrux::audit::audit_page;
-use langcrux::crawl::extract;
-use langcrux::html::parse;
+use langcrux::crawl::extract_streaming;
 use langcrux::kizuki::{CheckOutcome, Kizuki, LanguageAwareCheck, LinkLanguageCheck, PageAnalysis};
 use langcrux::lang::a11y::ElementKind;
 use langcrux::langid::LabelLanguage;
@@ -68,7 +67,7 @@ const PAGE: &str = r#"<!DOCTYPE html>
 </body></html>"#;
 
 fn main() {
-    let page = extract(&parse(PAGE));
+    let page = extract_streaming(PAGE);
     let base = audit_page(&page);
     println!("base score: {:.1}\n", base.score);
 

@@ -8,8 +8,9 @@
 //!
 //! * [`lang`] — scripts, languages, countries, Unicode tables, UI dictionaries.
 //! * [`textgen`] — deterministic synthetic multilingual text generation.
-//! * [`html`] — HTML tokenizer, DOM, parser, visible-text extraction, and
-//!   the streaming tokenize→extract walk (no DOM on the hot path).
+//! * [`html`] — HTML tokenizer, visibility rules, the streaming
+//!   tokenize→extract walk (no DOM anywhere in production), and the HTML
+//!   builder the generator writes pages with.
 //! * [`langid`] — script/language identification and label classification.
 //! * [`net`] — simulated geo-localized internet with VPN vantage points.
 //! * [`obs`] — unified observability: deterministic span tracing, one

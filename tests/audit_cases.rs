@@ -3,13 +3,12 @@
 //! Table 3 matrix.
 
 use langcrux::audit::{audit_page, OTHER_AUDITS_WEIGHT};
-use langcrux::crawl::extract;
-use langcrux::html::parse;
+use langcrux::crawl::extract_streaming;
 use langcrux::kizuki::Kizuki;
 use langcrux::lang::a11y::ElementKind;
 
 fn audit(html: &str) -> langcrux::audit::AuditReport {
-    audit_page(&extract(&parse(html)))
+    audit_page(&extract_streaming(html))
 }
 
 #[test]
@@ -116,7 +115,7 @@ fn decorative_images_pass_but_kizuki_ignores_them() {
     let html = r#"<html><head><title>முகப்பு</title></head><body>
         <p>தமிழ்நாட்டின் இன்றைய முக்கியச் செய்திகள் இங்கே தொகுக்கப்பட்டுள்ளன.</p>
         <img src="a" alt=""><img src="b" alt=""></body></html>"#;
-    let page = extract(&parse(html));
+    let page = extract_streaming(html);
     let base = audit_page(&page);
     assert!(base.passes(ElementKind::ImageAlt));
     let kizuki = Kizuki::standard().evaluate(&page, &base);
@@ -130,7 +129,7 @@ fn kizuki_penalty_is_exactly_the_audit_weight() {
         <p>東京の天気予報と今日の主要なニュースをまとめてお届けします。</p>
         <img src="a" alt="aerial view of the river and the old bridge">
         </body></html>"#;
-    let page = extract(&parse(html));
+    let page = extract_streaming(html);
     let base = audit_page(&page);
     assert!((base.score - 100.0).abs() < 1e-9);
     let kizuki = Kizuki::standard().evaluate(&page, &base);

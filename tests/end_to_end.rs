@@ -109,15 +109,14 @@ fn crawl_summaries_account_for_every_attempt() {
 fn facade_reexports_cover_the_pipeline() {
     // The README quickstart path must exist through the facade crate.
     use langcrux::audit::audit_page;
-    use langcrux::crawl::extract;
-    use langcrux::html::parse;
+    use langcrux::crawl::extract_streaming;
     use langcrux::kizuki::Kizuki;
 
-    let page = extract(&parse(
+    let page = extract_streaming(
         r#"<html lang="ja"><head><title>ニュース</title></head>
            <body><p>今日のニュースをお届けします。</p>
            <img src="a" alt="渋谷の夜景"></body></html>"#,
-    ));
+    );
     let base = audit_page(&page);
     let report = Kizuki::standard().evaluate(&page, &base);
     assert_eq!(report.new_score, report.base_score);

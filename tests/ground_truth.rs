@@ -7,9 +7,8 @@
 //! (missing/empty/totals); classification layers (filter categories, label
 //! languages) are heuristic and must agree within tolerance.
 
-use langcrux::crawl::extract;
+use langcrux::crawl::extract_streaming;
 use langcrux::filter::classify;
-use langcrux::html::parse;
 use langcrux::lang::a11y::ElementKind;
 use langcrux::lang::Country;
 use langcrux::langid::{classify_label, LabelLanguage};
@@ -26,7 +25,7 @@ fn plans(n: u32) -> impl Iterator<Item = (Country, SitePlan)> {
 fn structural_counts_recovered_exactly() {
     for (country, plan) in plans(6) {
         let (html, truth) = render(&plan, ContentVariant::Localized, "/");
-        let page = extract(&parse(&html));
+        let page = extract_streaming(&html);
         for kind in ElementKind::ALL {
             let planted = truth.kind(kind);
             let measured_total = page.of_kind(kind).count() as u32;
@@ -59,7 +58,7 @@ fn filter_verdicts_agree_with_planted_categories() {
     let mut measured_informative = 0u32;
     for (_, plan) in plans(6) {
         let (html, truth) = render(&plan, ContentVariant::Localized, "/");
-        let page = extract(&parse(&html));
+        let page = extract_streaming(&html);
         for kind in ElementKind::ALL {
             planted_uninformative += truth.kind(kind).uninformative_total();
             planted_informative += truth.kind(kind).informative_total();
@@ -92,7 +91,7 @@ fn label_language_classes_recovered() {
     for (country, plan) in plans(8) {
         let native = country.target_language();
         let (html, truth) = render(&plan, ContentVariant::Localized, "/");
-        let page = extract(&parse(&html));
+        let page = extract_streaming(&html);
         for kind in ElementKind::ALL {
             let t = truth.kind(kind);
             planted.0 += t.informative_native;
@@ -142,7 +141,7 @@ fn label_language_classes_recovered() {
 fn global_variant_plants_and_measures_english() {
     for (country, plan) in plans(3) {
         let (html, truth) = render(&plan, ContentVariant::Global, "/");
-        let page = extract(&parse(&html));
+        let page = extract_streaming(&html);
         // Ground truth says all informative labels are English…
         for kind in ElementKind::ALL {
             assert_eq!(
@@ -176,7 +175,7 @@ fn visible_share_tracks_plan_target() {
     let mut n = 0usize;
     for (country, plan) in plans(10) {
         let (html, _) = render(&plan, ContentVariant::Localized, "/");
-        let page = extract(&parse(&html));
+        let page = extract_streaming(&html);
         let comp = composition(&page.visible_text, country.target_language());
         err_sum += (comp.native_pct / 100.0 - plan.visible_native_share).abs();
         n += 1;
