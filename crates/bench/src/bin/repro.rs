@@ -4,14 +4,13 @@
 //! repro [ARTIFACT...] [--sites N | --quick | --full] [--seed S]
 //!       [--fault-plan reliable|default|hostile|PATH.json] [--gap-scenarios]
 //!       [--trace-out [PATH]] [--trace-summary] [--metrics-out FILE]
-//!       [--report] [--serve-daemon [PATH]]
-//!       [--port N] [--loadgen ADDR] [--dataset-out FILE]
+//!       [--serve-daemon [PATH]] [--port N] [--dataset-out FILE]
 //!       [--dist N] [--chaos-kill-workers] [--dist-checkpoint PATH]
 //!       [--dist-worker [PATH]]
 //!
 //! ARTIFACT: all (default) | table1 | table2 | table3 | table4 | table5
 //!         | fig2 | fig3 | fig4 | fig5 | fig6 | fig7 | fig8 | fig9
-//!         | headlines | selection | crawl
+//!         | headlines | langmeta | speech | report | selection | crawl
 //!         | ablation-vpn | ablation-langid | ablation-crawl
 //! ```
 //!
@@ -26,9 +25,8 @@
 //! `--metrics-out FILE` writes the unified registry exposition (build
 //! info + net + crawl-ledger + corpus-shard (+ trace when tracing ran)
 //! metric families) as a node_exporter-style textfile snapshot after the
-//! build. `--report` prints the same registry-rendered exposition as an
-//! artifact section; the classic `ledger:` / `corpus shards:` stderr
-//! lines stay by default for script compatibility.
+//! build. A `--dist` build fetches in its worker processes, so it exports
+//! no `langcrux_net_*` family and prints one `net:` line saying so.
 //!
 //! `--serve-daemon` runs the audit server as a long-lived foreground
 //! process: it binds `127.0.0.1:<--port>` (default ephemeral), writes a
@@ -40,10 +38,10 @@
 //! registers its observations (net, ledger, shard, pipeline-stage
 //! families) into the server's registry, so `/v1/metrics` exposes the
 //! build alongside the serve counters; without explicit artifacts the
-//! daemon skips the implicit `all` run and starts immediately. Load
-//! tests point at it with `--loadgen ADDR`, which drives a quick
-//! load-gen run against an *external* server and exits non-zero on any
-//! failed request.
+//! daemon skips the implicit `all` run and starts immediately. A live
+//! holder of the pid/port file makes it refuse to start (exit 3); a file
+//! left by a dead pid is replaced. perfbench's `serve-mixed` workload
+//! drives it under load.
 //!
 //! `--dist N` runs the dataset build as a fault-tolerant distributed
 //! system: N worker *processes* (each `repro --dist-worker`, an audit
@@ -102,8 +100,6 @@ struct Args {
     serve_daemon: Option<String>,
     /// Port for the daemon listener (0 = ephemeral).
     port: u16,
-    /// `Some(host:port)` when `--loadgen` was requested.
-    loadgen: Option<String>,
     /// Fault plan for the dataset build (default: the default plan).
     fault_plan: langcrux_net::FaultPlan,
     /// Enable the corpus's translation-gap scenarios (`--gap-scenarios`).
@@ -114,8 +110,6 @@ struct Args {
     trace_summary: bool,
     /// `Some(path)` when `--metrics-out` was requested.
     metrics_out: Option<String>,
-    /// Print the unified registry report after the build.
-    report: bool,
     /// `Some(workers)` when `--dist` was requested: build the dataset
     /// through the distributed coordinator with that many worker
     /// processes.
@@ -152,11 +146,9 @@ fn parse_args() -> Args {
     let mut gap_scenarios = false;
     let mut serve_daemon = None;
     let mut port = 0u16;
-    let mut loadgen = None;
     let mut trace_out = None;
     let mut trace_summary = false;
     let mut metrics_out = None;
-    let mut report = false;
     let mut dist = None;
     let mut chaos_kill_workers = false;
     let mut dist_checkpoint = None;
@@ -216,9 +208,6 @@ fn parse_args() -> Args {
             "--metrics-out" => {
                 metrics_out = Some(iter.next().expect("--metrics-out requires a file path"));
             }
-            "--report" => {
-                report = true;
-            }
             "--dist" => {
                 let n: usize = iter
                     .next()
@@ -248,16 +237,12 @@ fn parse_args() -> Args {
                     .and_then(|v| v.parse().ok())
                     .expect("--port requires a u16");
             }
-            "--loadgen" => {
-                loadgen = Some(iter.next().expect("--loadgen requires host:port"));
-            }
             "--help" | "-h" => {
                 println!(
                     "repro [ARTIFACT...] [--sites N | --quick | --full] [--seed S] \
                      [--fault-plan reliable|default|hostile|PATH.json] [--gap-scenarios] \
-                     [--trace-out [PATH]] [--trace-summary] [--metrics-out FILE] [--report] \
-                     [--serve-daemon [PATH]] \
-                     [--port N] [--loadgen ADDR] [--dataset-out FILE] \
+                     [--trace-out [PATH]] [--trace-summary] [--metrics-out FILE] \
+                     [--serve-daemon [PATH]] [--port N] [--dataset-out FILE] \
                      [--dist N] [--chaos-kill-workers] [--dist-checkpoint PATH] \
                      [--dist-worker [PATH]]\n\
                      artifacts: all table1 table2 table3 table4 table5 fig2 fig3 fig4 \
@@ -280,13 +265,11 @@ fn parse_args() -> Args {
         seed,
         serve_daemon,
         port,
-        loadgen,
         fault_plan,
         gap_scenarios,
         trace_out,
         trace_summary,
         metrics_out,
-        report,
         dist,
         chaos_kill_workers,
         dist_checkpoint,
@@ -296,10 +279,11 @@ fn parse_args() -> Args {
 }
 
 /// Everything one dataset build left behind for the unified registry:
-/// the simulated internet's counters, the degraded-run ledger, the
+/// the simulated internet's counters (`None` for a `--dist` build, whose
+/// fetches ran in the worker processes), the degraded-run ledger, the
 /// lazy-shard gauges, and (when a trace session ran) the span report.
 struct BuildObservations {
-    net: langcrux_net::NetMetrics,
+    net: Option<langcrux_net::NetMetrics>,
     ledger: langcrux_core::CrawlLedger,
     shards: langcrux_webgen::ShardStats,
     trace: Option<langcrux_obs::trace::TraceReport>,
@@ -309,7 +293,9 @@ struct BuildObservations {
 
 impl BuildObservations {
     fn encode(&self, enc: &mut langcrux_obs::Encoder) {
-        self.net.encode_metrics(enc);
+        if let Some(net) = &self.net {
+            net.encode_metrics(enc);
+        }
         self.ledger.encode_metrics(enc);
         self.shards.encode_metrics(enc);
         if let Some(trace) = &self.trace {
@@ -364,26 +350,58 @@ mod daemon_signals {
     }
 }
 
-/// `--serve-daemon`: run the audit server until SIGTERM, then drain.
-/// With `observations` from a preceding artifact build, the build's
-/// metric families are registered into the server's registry so
-/// `/v1/metrics` and `/v1/stats` expose them next to the serve counters.
-fn run_serve_daemon(file_path: &str, port: u16, observations: Option<BuildObservations>) -> ! {
+/// What a long-lived server process runs as.
+enum ServerRole {
+    /// `--serve-daemon`: the audit server. With observations from a
+    /// preceding artifact build, their metric families are registered
+    /// into the server's registry, so `/v1/metrics` exposes them next to
+    /// the serve counters.
+    Daemon(Option<Box<BuildObservations>>),
+    /// `--dist-worker`: a distributed-build worker — the audit server
+    /// with the unit-RPC hook installed, advertised through the pid/port
+    /// file the coordinator polls. A unit RPC executes a whole
+    /// `(country, chunk)` work unit on its connection's thread.
+    DistWorker,
+}
+
+/// Run the audit server in `role` until SIGTERM/SIGINT, then drain.
+fn run_server(role: ServerRole, file_path: &str, port: u16) -> ! {
     #[cfg(not(unix))]
     {
-        let _ = (file_path, port, observations);
-        eprintln!("--serve-daemon needs unix signal handling");
+        let _ = (role, file_path, port);
+        eprintln!("--serve-daemon and --dist-worker need unix signal handling");
         std::process::exit(2);
     }
     #[cfg(unix)]
     {
-        use langcrux_serve::ServeConfig;
+        use langcrux_serve::{RpcHook, ServeConfig};
+        use std::sync::Arc;
         daemon_signals::install();
+        let (name, rpc, observations) = match role {
+            ServerRole::Daemon(observations) => ("serve daemon", None, observations),
+            ServerRole::DistWorker => {
+                let state = Arc::new(langcrux_core::WorkerState::new());
+                let hook = RpcHook(Arc::new(move |name, body| match name {
+                    "unit" => Some(match state.handle_unit(body) {
+                        Ok(json) => (200, json.into_bytes()),
+                        Err(err) => (
+                            400,
+                            serde_json::to_string(&err)
+                                .expect("serialize worker error")
+                                .into_bytes(),
+                        ),
+                    }),
+                    _ => None,
+                }));
+                ("dist worker", Some(hook), None)
+            }
+        };
         let config = ServeConfig {
             addr: format!("127.0.0.1:{port}").parse().expect("loopback addr"),
+            rpc,
             ..ServeConfig::default()
         };
-        let server = langcrux_serve::spawn(config).expect("bind daemon listener");
+        let server = langcrux_serve::spawn(config).expect("bind server listener");
         if let Some(observations) = observations {
             server
                 .state()
@@ -393,29 +411,29 @@ fn run_serve_daemon(file_path: &str, port: u16, observations: Option<BuildObserv
         let addr = server.addr();
         // Claim the pid/port file: a stale file (dead pid — SIGKILL, OOM)
         // is replaced so restarts never wedge; a live holder is refused
-        // so a running daemon's advertisement is never clobbered.
+        // so a running server's advertisement is never clobbered.
         let doc = langcrux_serve::PidFileDoc::new(addr.port(), &addr.to_string());
         if let Err(held) = langcrux_serve::claim_pidfile(std::path::Path::new(file_path), &doc) {
             let holder = match held {
                 langcrux_serve::PidFileStatus::Live(doc) => doc.pid,
                 _ => 0,
             };
-            eprintln!("serve daemon: refusing to start — {file_path} is held by live pid {holder}");
+            eprintln!("{name}: refusing to start — {file_path} is held by live pid {holder}");
             server.shutdown();
             std::process::exit(3);
         }
         eprintln!(
-            "serve daemon: http://{addr} (pid {}, pid/port file {file_path}); SIGTERM drains",
+            "{name}: http://{addr} (pid {}, pid/port file {file_path}); SIGTERM drains",
             std::process::id()
         );
         while !daemon_signals::stopped() {
             std::thread::sleep(std::time::Duration::from_millis(50));
         }
-        eprintln!("serve daemon: signal received, draining …");
+        eprintln!("{name}: signal received, draining …");
         let stats = server.shutdown();
         let _ = std::fs::remove_file(file_path);
         eprintln!(
-            "serve daemon: drained cleanly — {} requests served ({} audit, {} batch, {} shed, {} errors)",
+            "{name}: drained cleanly — {} requests served ({} audit, {} batch, {} shed, {} errors)",
             stats.requests.total(),
             stats.requests.audit,
             stats.requests.batch,
@@ -424,89 +442,6 @@ fn run_serve_daemon(file_path: &str, port: u16, observations: Option<BuildObserv
         );
         std::process::exit(0);
     }
-}
-
-/// `--dist-worker`: run as a distributed-build worker — the audit server
-/// with the unit-RPC hook installed, advertised through a pid/port file
-/// the coordinator polls. A unit RPC executes a whole `(country, chunk)`
-/// work unit on its connection's thread.
-fn run_dist_worker(file_path: &str, port: u16) -> ! {
-    #[cfg(not(unix))]
-    {
-        let _ = (file_path, port);
-        eprintln!("--dist-worker needs unix signal handling");
-        std::process::exit(2);
-    }
-    #[cfg(unix)]
-    {
-        use langcrux_serve::{RpcHook, ServeConfig};
-        use std::sync::Arc;
-        daemon_signals::install();
-        let state = Arc::new(langcrux_core::WorkerState::new());
-        let hook = RpcHook(Arc::new(move |name, body| match name {
-            "unit" => Some(match state.handle_unit(body) {
-                Ok(json) => (200, json.into_bytes()),
-                Err(err) => (
-                    400,
-                    serde_json::to_string(&err)
-                        .expect("serialize worker error")
-                        .into_bytes(),
-                ),
-            }),
-            _ => None,
-        }));
-        let config = ServeConfig {
-            addr: format!("127.0.0.1:{port}").parse().expect("loopback addr"),
-            rpc: Some(hook),
-            ..ServeConfig::default()
-        };
-        let server = langcrux_serve::spawn(config).expect("bind worker listener");
-        let addr = server.addr();
-        // Same stale-vs-live discipline as the daemon: replace leftovers
-        // of a crashed worker, never clobber a live one's advertisement.
-        let doc = langcrux_serve::PidFileDoc::new(addr.port(), &addr.to_string());
-        if langcrux_serve::claim_pidfile(std::path::Path::new(file_path), &doc).is_err() {
-            eprintln!("dist worker: refusing to start — {file_path} is held by a live process");
-            server.shutdown();
-            std::process::exit(3);
-        }
-        eprintln!(
-            "dist worker: http://{addr} (pid {}, pid/port file {file_path})",
-            std::process::id()
-        );
-        while !daemon_signals::stopped() {
-            std::thread::sleep(std::time::Duration::from_millis(50));
-        }
-        server.shutdown();
-        let _ = std::fs::remove_file(file_path);
-        std::process::exit(0);
-    }
-}
-
-/// `--loadgen ADDR`: quick load-gen against an external (daemon) server.
-fn run_external_loadgen(addr: &str, seed: u64) -> ! {
-    let addr: std::net::SocketAddr = addr.parse().expect("--loadgen needs host:port");
-    let pages = bench_pages(seed, 24);
-    let run = langcrux_serve::run_load(addr, &pages, 4, 96).expect("load run against daemon");
-    eprintln!(
-        "loadgen vs {addr}: {} requests, {} errors, {:.1} req/s (p50 {:.2} ms, p99 {:.2} ms)",
-        run.requests, run.errors, run.req_per_sec, run.p50_ms, run.p99_ms
-    );
-    std::process::exit(if run.errors == 0 { 0 } else { 1 });
-}
-
-/// Render `pages` distinct localized corpus pages, cycling countries so
-/// the load spans every script family the study covers.
-fn bench_pages(seed: u64, pages: usize) -> Vec<String> {
-    use langcrux_net::ContentVariant;
-    use langcrux_webgen::{render, SitePlan};
-    (0..pages)
-        .map(|i| {
-            let country = Country::STUDY[i % Country::STUDY.len()];
-            let plan = SitePlan::build(seed, country, i as u32, Some(true));
-            render(&plan, ContentVariant::Localized, "/").0
-        })
-        .collect()
 }
 
 fn needs_dataset(artifacts: &[String]) -> bool {
@@ -530,17 +465,14 @@ fn section(title: &str) {
 fn main() {
     let args = parse_args();
     if let Some(path) = &args.dist_worker {
-        run_dist_worker(path, args.port);
-    }
-    if let Some(addr) = &args.loadgen {
-        run_external_loadgen(addr, args.seed);
+        run_server(ServerRole::DistWorker, path, args.port);
     }
     // The daemon stands in for the implicit `all` run, but explicitly
     // named artifacts alongside it are still produced (no silent drop) —
     // and an artifact-less daemon starts without a build.
     if let Some(path) = &args.serve_daemon {
         if !args.explicit_artifacts {
-            run_serve_daemon(path, args.port, None);
+            run_server(ServerRole::Daemon(None), path, args.port);
         }
     }
     let all = args.artifacts.iter().any(|a| a == "all");
@@ -551,7 +483,6 @@ fn main() {
     let trace_wanted = args.trace_out.is_some()
         || args.trace_summary
         || args.metrics_out.is_some()
-        || args.report
         || args.serve_daemon.is_some();
     let mut observations: Option<BuildObservations> = None;
 
@@ -623,27 +554,37 @@ fn main() {
         let trace_report = session.map(|s| s.finish());
         // Traffic counters of the simulated internet for this build —
         // under a faulty plan these show what the retry discipline and
-        // the replacement rule absorbed.
-        let net = corpus.internet().metrics();
-        eprintln!(
-            "net: {} requests ({} localized, {} global, {} restricted), \
-             {} timeouts, {} resets, {} 5xx, {} geo-blocks, {} unknown hosts, \
-             {} vpn-detections, {} truncated, {} garbled, {} slow, {} bytes served",
-            net.requests,
-            net.localized_responses,
-            net.global_responses,
-            net.restricted_responses,
-            net.timeouts,
-            net.resets,
-            net.server_errors,
-            net.geo_blocks,
-            net.unknown_hosts,
-            net.vpn_detections,
-            net.truncated_bodies,
-            net.garbled_bodies,
-            net.slow_responses,
-            net.bytes_served,
-        );
+        // the replacement rule absorbed. A `--dist` build fetches in its
+        // worker processes, so the coordinator's `Internet` counted
+        // nothing and there is nothing true to report.
+        let net = if args.dist.is_some() {
+            eprintln!(
+                "net: the network counters live in the --dist worker processes; not collected here"
+            );
+            None
+        } else {
+            let net = corpus.internet().metrics();
+            eprintln!(
+                "net: {} requests ({} localized, {} global, {} restricted), \
+                 {} timeouts, {} resets, {} 5xx, {} geo-blocks, {} unknown hosts, \
+                 {} vpn-detections, {} truncated, {} garbled, {} slow, {} bytes served",
+                net.requests,
+                net.localized_responses,
+                net.global_responses,
+                net.restricted_responses,
+                net.timeouts,
+                net.resets,
+                net.server_errors,
+                net.geo_blocks,
+                net.unknown_hosts,
+                net.vpn_detections,
+                net.truncated_bodies,
+                net.garbled_bodies,
+                net.slow_responses,
+                net.bytes_served,
+            );
+            Some(net)
+        };
         // The degraded-run ledger travels with the dataset.
         let totals = &ledger.totals;
         eprintln!(
@@ -873,26 +814,25 @@ fn main() {
     }
     if wants("ablation-crawl") {
         section("Ablation A3 — crawl worker scaling");
-        for threads in [1, 2, 4, 8] {
-            let elapsed = langcrux_bench::crawl_scaling(args.seed, 40, threads);
+        for (threads, elapsed) in langcrux_bench::crawl_scaling(args.seed, 40, &[1, 2, 4, 8]) {
             println!("  {threads:>2} workers: {elapsed:.2?}");
         }
     }
 
     // The unified observability outputs: one registry rendering for the
-    // console (`--report`), the textfile snapshot (`--metrics-out`), and
-    // the daemon's `/v1/metrics` (below) — all the same families.
+    // textfile snapshot (`--metrics-out`) and the daemon's `/v1/metrics`
+    // (below) — the same families.
     if let Some(observations) = &observations {
-        if args.report {
-            section("Observability report — unified registry exposition");
-            print!("{}", observations.exposition());
-        }
         if let Some(path) = &args.metrics_out {
             std::fs::write(path, observations.exposition()).expect("write metrics snapshot");
             eprintln!("wrote {path}");
         }
     }
     if let Some(path) = &args.serve_daemon {
-        run_serve_daemon(path, args.port, observations);
+        run_server(
+            ServerRole::Daemon(observations.map(Box::new)),
+            path,
+            args.port,
+        );
     }
 }

@@ -50,6 +50,10 @@ use std::time::{Duration, Instant};
 const CHAOS_HOLD_MS: u64 = 120;
 const CHAOS_KILL_AFTER_MS: u64 = 30;
 
+/// Per-unit lease: how long the executor waits on a worker (connect,
+/// write, read of one unit RPC or heartbeat) before declaring it stalled.
+const LEASE: Duration = Duration::from_secs(60);
+
 /// SIGKILL by pid — the chaos path must kill from a thread that does not
 /// own the [`Child`], so it goes through the C runtime directly (the
 /// container has no `libc` crate).
@@ -125,18 +129,13 @@ impl WorkerProcess {
 pub struct HttpExecutor {
     slots: Vec<Mutex<Option<WorkerProcess>>>,
     dir: PathBuf,
-    lease: Duration,
     chaos: Option<ChaosKillPlan>,
     generation: std::sync::atomic::AtomicU64,
 }
 
 impl HttpExecutor {
     /// Spawn `workers` processes and wait for all advertisements.
-    pub fn spawn(
-        workers: usize,
-        chaos: Option<ChaosKillPlan>,
-        lease_ms: u64,
-    ) -> std::io::Result<Self> {
+    pub fn spawn(workers: usize, chaos: Option<ChaosKillPlan>) -> std::io::Result<Self> {
         let dir = std::env::temp_dir().join(format!("langcrux-dist-{}", std::process::id()));
         std::fs::create_dir_all(&dir)?;
         let mut slots = Vec::with_capacity(workers);
@@ -146,7 +145,6 @@ impl HttpExecutor {
         Ok(HttpExecutor {
             slots,
             dir,
-            lease: Duration::from_millis(lease_ms.max(1)),
             chaos,
             generation: std::sync::atomic::AtomicU64::new(1),
         })
@@ -154,9 +152,9 @@ impl HttpExecutor {
 
     /// Dial a worker and run one unit RPC under the lease deadline.
     fn post_unit(&self, addr: SocketAddr, body: &[u8]) -> std::io::Result<(u16, Vec<u8>)> {
-        let mut stream = TcpStream::connect_timeout(&addr, self.lease)?;
-        stream.set_read_timeout(Some(self.lease))?;
-        stream.set_write_timeout(Some(self.lease))?;
+        let mut stream = TcpStream::connect_timeout(&addr, LEASE)?;
+        stream.set_read_timeout(Some(LEASE))?;
+        stream.set_write_timeout(Some(LEASE))?;
         let mut scratch = Vec::new();
         langcrux_serve::loadgen::post(&mut stream, "/v1/rpc/unit", body, &mut scratch)
     }
@@ -226,10 +224,10 @@ impl UnitExecutor for HttpExecutor {
             // Exited or unknowable: declare dead, let revive() respawn.
             _ => return false,
         }
-        let Ok(mut stream) = TcpStream::connect_timeout(&process.addr, self.lease) else {
+        let Ok(mut stream) = TcpStream::connect_timeout(&process.addr, LEASE) else {
             return false;
         };
-        let _ = stream.set_read_timeout(Some(self.lease));
+        let _ = stream.set_read_timeout(Some(LEASE));
         let mut scratch = Vec::new();
         matches!(
             langcrux_serve::loadgen::get(&mut stream, "/v1/healthz", &mut scratch),
@@ -302,7 +300,7 @@ pub fn build_distributed_dataset(
     let chaos = run
         .chaos_kill_workers
         .then(|| ChaosKillPlan::standard(seed));
-    let executor = HttpExecutor::spawn(options.workers, chaos, options.lease_ms)?;
+    let executor = HttpExecutor::spawn(options.workers, chaos)?;
     let build = build_dataset_distributed(&corpus, &executor, &options).map_err(|halted| {
         std::io::Error::other(format!(
             "coordinator halted after {} units",

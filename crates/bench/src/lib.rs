@@ -13,7 +13,6 @@
 pub mod dist;
 
 use langcrux_core::{build_dataset_with_ledger, CrawlLedger, Dataset, PipelineOptions};
-use langcrux_crawl::BrowserConfig;
 use langcrux_lang::{Country, Language};
 use langcrux_langid::{detect, TrigramDetector};
 use langcrux_net::{vpn_vantage, ContentVariant, FaultPlan, Request, Url, Vantage};
@@ -123,19 +122,22 @@ pub fn vpn_ablation(seed: u64, hosts_per_country: usize) -> VpnAblation {
     let mut total = 0u32;
     let mut vpn_localized = 0u32;
     let mut cloud_localized = 0u32;
+    let mut body = String::new();
     for country in Country::STUDY {
         let vantage = vpn_vantage(country).expect("vpn endpoint");
         let candidates = corpus.candidates(country);
         for plan in candidates.iter().take(hosts_per_country) {
             total += 1;
             let url = Url::from_host(&plan.host);
-            if let Ok(resp) = corpus.internet().fetch(&Request::new(url.clone(), vantage)) {
-                if resp.variant == ContentVariant::Localized {
+            let request = Request::new(url.clone(), vantage);
+            if let Ok(meta) = corpus.internet().fetch_into(&request, &mut body) {
+                if meta.variant == ContentVariant::Localized {
                     vpn_localized += 1;
                 }
             }
-            if let Ok(resp) = corpus.internet().fetch(&Request::new(url, Vantage::Cloud)) {
-                if resp.variant == ContentVariant::Localized {
+            let request = Request::new(url, Vantage::Cloud);
+            if let Ok(meta) = corpus.internet().fetch_into(&request, &mut body) {
+                if meta.variant == ContentVariant::Localized {
                     cloud_localized += 1;
                 }
             }
@@ -240,35 +242,45 @@ pub fn speech_experience(seed: u64, sites_per_country: usize) -> Vec<SpeechExper
     rows
 }
 
-/// A3 — crawl worker scaling: wall-clock for crawling a fixed host list
-/// with different worker counts (`repro ablation-crawl`).
-pub fn crawl_scaling(seed: u64, hosts_per_country: usize, threads: usize) -> std::time::Duration {
-    use langcrux_crawl::{crawl_hosts, CrawlConfig};
-    let corpus = build_corpus(seed, Scale::Sites(hosts_per_country));
-    let hosts: Vec<String> = Country::STUDY
-        .iter()
-        .flat_map(|&c| {
-            corpus
-                .candidates(c)
-                .iter()
-                .take(hosts_per_country)
-                .map(|p| p.host.clone())
-                .collect::<Vec<_>>()
-        })
-        .collect();
-    let vantage = vpn_vantage(Country::Thailand).expect("endpoint");
-    let start = std::time::Instant::now();
-    let outcome = crawl_hosts(
-        corpus.internet(),
-        vantage,
-        &hosts,
-        CrawlConfig {
-            threads,
-            browser: BrowserConfig::default(),
-        },
-    );
-    assert!(outcome.stats.attempted as usize == hosts.len());
-    start.elapsed()
+/// A3 — crawl worker scaling (`repro ablation-crawl`): the wall-clock
+/// time of [`build_dataset_with_ledger`], the engine every build runs,
+/// over one corpus at each worker count in `threads`. The corpus shards
+/// are built before the first timing, and every build's dataset bytes
+/// must equal the first build's before any time is returned: a scaling
+/// figure over unequal work means nothing.
+pub fn crawl_scaling(
+    seed: u64,
+    sites_per_country: usize,
+    threads: &[usize],
+) -> Vec<(usize, std::time::Duration)> {
+    let corpus = build_corpus(seed, Scale::Sites(sites_per_country));
+    for country in Country::STUDY {
+        corpus.candidates(country);
+    }
+    let mut first: Option<String> = None;
+    let mut timings = Vec::with_capacity(threads.len());
+    for &workers in threads {
+        let start = std::time::Instant::now();
+        let (dataset, _) = build_dataset_with_ledger(
+            &corpus,
+            PipelineOptions {
+                quota: sites_per_country,
+                threads: workers,
+                ..PipelineOptions::default()
+            },
+        );
+        let elapsed = start.elapsed();
+        let bytes = dataset.to_json().expect("serialize dataset");
+        match &first {
+            None => first = Some(bytes),
+            Some(first) => assert!(
+                *first == bytes,
+                "A3: the {workers}-worker build's dataset differs from the first build's"
+            ),
+        }
+        timings.push((workers, elapsed));
+    }
+    timings
 }
 
 #[cfg(test)]
@@ -305,6 +317,13 @@ mod tests {
         // profile, so bd must be more degraded than jp (full Japanese voice).
         let get = |code: &str| rows.iter().find(|r| r.country_code == code).unwrap();
         assert!(get("bd").degraded_pct > get("jp").degraded_pct);
+    }
+
+    #[test]
+    fn crawl_scaling_times_equal_builds_at_each_worker_count() {
+        let timings = crawl_scaling(13, 4, &[1, 2]);
+        let workers: Vec<usize> = timings.iter().map(|(w, _)| *w).collect();
+        assert_eq!(workers, vec![1, 2]);
     }
 
     #[test]

@@ -75,9 +75,9 @@ use std::sync::{Arc, Mutex};
 const DIST_BACKOFF_STREAM: u64 = 0xD1B0;
 
 /// Everything a worker process needs to rebuild a corpus congruent with
-/// the coordinator's, plus the browser discipline to probe it with.
-/// Carried inside every [`UnitRequest`] so workers are stateless across
-/// builds (a worker caches the corpus keyed by this config's JSON).
+/// the coordinator's. Carried inside every [`UnitRequest`] so workers are
+/// stateless across builds (a worker caches the corpus keyed by this
+/// config's JSON). Every runner probes with `BrowserConfig::default()`.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct WireBuildConfig {
     pub seed: u64,
@@ -89,12 +89,11 @@ pub struct WireBuildConfig {
     pub resident_shards: usize,
     pub gap_scenarios: bool,
     pub fault_plan: FaultPlan,
-    pub browser: BrowserConfig,
 }
 
 impl WireBuildConfig {
     /// Capture the corpus a coordinator is building from.
-    pub fn of(corpus: &Corpus, browser: BrowserConfig) -> Self {
+    pub fn of(corpus: &Corpus) -> Self {
         let config = corpus.config();
         WireBuildConfig {
             seed: config.seed,
@@ -104,7 +103,6 @@ impl WireBuildConfig {
             resident_shards: config.resident_shards,
             gap_scenarios: config.gap_scenarios,
             fault_plan: *corpus.internet().fault_plan(),
-            browser,
         }
     }
 
@@ -279,7 +277,7 @@ fn execute_request(
     panic_host: Option<fn(&str) -> bool>,
 ) -> Vec<WireVerdict> {
     let mut span = obs::trace::span("dist.unit", obs::trace::key_str(request.country.code()));
-    let mut browser = Browser::new(corpus.internet(), request.config.browser);
+    let mut browser = Browser::new(corpus.internet(), BrowserConfig::default());
     let range = request.start..request.end;
     let verdicts = execute_unit(corpus, &mut browser, request.country, range, panic_host);
     span.set_virtual_ms(verdicts.iter().map(|v| v.trace.virtual_ms).sum());
@@ -326,8 +324,6 @@ struct CountryState {
 pub(crate) fn run_build<E>(
     corpus: &Corpus,
     quota: usize,
-    max_extremes: usize,
-    max_mismatches: usize,
     workers: usize,
     mut run_wave: impl FnMut(&[Unit]) -> Result<Vec<UnitResolution>, E>,
 ) -> Result<(Dataset, CrawlLedger), E> {
@@ -375,7 +371,7 @@ pub(crate) fn run_build<E>(
             }
         }
     }
-    Ok(replay(corpus, quota, max_extremes, max_mismatches, states))
+    Ok(replay(corpus, quota, states))
 }
 
 /// Plan the next wave. Each country still short of quota extends its
@@ -413,17 +409,17 @@ fn plan_wave(corpus: &Corpus, states: &[CountryState], quota: usize, workers: us
     units
 }
 
+/// Cap on the extreme alt-text examples a dataset keeps (Table 4).
+const MAX_EXTREME_EXAMPLES: usize = 40;
+/// Cap on the visible/accessibility mismatch examples a dataset keeps
+/// (Table 5).
+const MAX_MISMATCH_EXAMPLES: usize = 24;
+
 /// Replay the paper's sequential replacement walk over each country's
 /// verdicts, in study order, and assemble the dataset and ledger. Records
 /// and examples move out of the verdicts; the example caps keep the first
 /// N in walk order.
-fn replay(
-    corpus: &Corpus,
-    quota: usize,
-    max_extremes: usize,
-    max_mismatches: usize,
-    mut states: Vec<CountryState>,
-) -> (Dataset, CrawlLedger) {
+fn replay(corpus: &Corpus, quota: usize, mut states: Vec<CountryState>) -> (Dataset, CrawlLedger) {
     states.sort_by_key(|st| Country::STUDY.iter().position(|&c| c == st.country));
     let mut dataset = Dataset {
         seed: corpus.config().seed,
@@ -459,11 +455,12 @@ fn replay(
                         ledger.gap_regions += u64::from(gaps.regions);
                     }
                     dataset.records.push(record);
-                    let room = max_extremes.saturating_sub(dataset.extreme_examples.len());
+                    let room = MAX_EXTREME_EXAMPLES.saturating_sub(dataset.extreme_examples.len());
                     dataset
                         .extreme_examples
                         .extend(extremes.into_iter().take(room));
-                    let room = max_mismatches.saturating_sub(dataset.mismatch_examples.len());
+                    let room =
+                        MAX_MISMATCH_EXAMPLES.saturating_sub(dataset.mismatch_examples.len());
                     dataset
                         .mismatch_examples
                         .extend(mismatches.into_iter().take(room));
@@ -598,31 +595,15 @@ impl UnitExecutor for LocalExecutor {
 
 /// Coordinator options. The dataset/ledger bytes produced under any
 /// `workers`/failure schedule equal `build_dataset_with_ledger` with a
-/// `PipelineOptions` carrying the same `quota`, `browser`, and example
-/// caps — the tested contract.
+/// `PipelineOptions` carrying the same `quota` — the tested contract.
 #[derive(Debug, Clone)]
 pub struct DistOptions {
     pub quota: usize,
-    pub browser: BrowserConfig,
-    pub max_extreme_examples: usize,
-    pub max_mismatch_examples: usize,
     /// Worker slots (dispatcher threads / worker processes).
     pub workers: usize,
     /// Reassignments after a unit's first dispatch before it is given up
     /// as degraded.
     pub max_reassignments: u32,
-    /// Consecutive dispatch failures on one worker slot that trip its
-    /// breaker and force a revive.
-    pub worker_breaker_threshold: u32,
-    /// Per-unit lease: wall milliseconds the executor waits for a unit
-    /// before declaring the worker stalled.
-    pub lease_ms: u64,
-    /// Virtual-clock reassignment backoff (the crawl discipline's shape:
-    /// `min(base << attempt, cap) + jitter`, pure in
-    /// `(seed, unit, attempt)`).
-    pub backoff_base_ms: u64,
-    pub backoff_cap_ms: u64,
-    pub backoff_jitter_ms: u64,
     /// Append-only unit-checkpoint log; `None` disables checkpointing.
     pub checkpoint: Option<PathBuf>,
     /// Crash simulation: stop dispatching after this many units complete
@@ -635,16 +616,8 @@ impl Default for DistOptions {
     fn default() -> Self {
         DistOptions {
             quota: 1_000,
-            browser: BrowserConfig::default(),
-            max_extreme_examples: 40,
-            max_mismatch_examples: 24,
             workers: 2,
             max_reassignments: 5,
-            worker_breaker_threshold: 3,
-            lease_ms: 60_000,
-            backoff_base_ms: 200,
-            backoff_cap_ms: 5_000,
-            backoff_jitter_ms: 50,
             checkpoint: None,
             halt_after_units: None,
         }
@@ -765,28 +738,30 @@ pub struct DistHalted {
     pub units_completed: usize,
 }
 
+/// Virtual-clock reassignment backoff, the crawl discipline's shape:
+/// `min(BACKOFF_BASE_MS << attempt, BACKOFF_CAP_MS)` plus up to
+/// `BACKOFF_JITTER_MS` of seeded jitter.
+const BACKOFF_BASE_MS: u64 = 200;
+const BACKOFF_CAP_MS: u64 = 5_000;
+const BACKOFF_JITTER_MS: u64 = 50;
+
 /// Reassignment backoff for dispatch attempt `attempt` of `unit_key` —
 /// the crawl engine's capped-exponential shape with seeded jitter, pure
 /// in `(seed, unit, attempt)` so degraded-run accounting is reproducible.
-fn reassignment_backoff_ms(options: &DistOptions, seed: u64, unit_key: &str, attempt: u32) -> u64 {
-    let exp = options
-        .backoff_base_ms
+fn reassignment_backoff_ms(seed: u64, unit_key: &str, attempt: u32) -> u64 {
+    let exp = BACKOFF_BASE_MS
         .checked_shl(attempt.min(16))
         .unwrap_or(u64::MAX)
-        .min(options.backoff_cap_ms);
-    let jitter = if options.backoff_jitter_ms == 0 {
-        0
-    } else {
-        rng::rng_for(
-            seed,
-            &[
-                rng::stream_id(unit_key),
-                u64::from(attempt),
-                DIST_BACKOFF_STREAM,
-            ],
-        )
-        .gen_range(0..=options.backoff_jitter_ms)
-    };
+        .min(BACKOFF_CAP_MS);
+    let jitter = rng::rng_for(
+        seed,
+        &[
+            rng::stream_id(unit_key),
+            u64::from(attempt),
+            DIST_BACKOFF_STREAM,
+        ],
+    )
+    .gen_range(0..=BACKOFF_JITTER_MS);
     exp + jitter
 }
 
@@ -914,7 +889,7 @@ pub fn build_dataset_distributed<E: UnitExecutor + ?Sized>(
     options: &DistOptions,
 ) -> Result<DistBuild, DistHalted> {
     let workers = options.workers.max(1);
-    let config = WireBuildConfig::of(corpus, options.browser);
+    let config = WireBuildConfig::of(corpus);
     let (log, completed) =
         CheckpointLog::open(options.checkpoint.as_deref(), &config, options.quota);
     let mut dispatcher = Dispatcher {
@@ -929,14 +904,9 @@ pub fn build_dataset_distributed<E: UnitExecutor + ?Sized>(
             ..DistStats::default()
         },
     };
-    let (dataset, ledger) = run_build(
-        corpus,
-        options.quota,
-        options.max_extreme_examples,
-        options.max_mismatch_examples,
-        workers,
-        |units| dispatcher.run_wave(units),
-    )?;
+    let (dataset, ledger) = run_build(corpus, options.quota, workers, |units| {
+        dispatcher.run_wave(units)
+    })?;
     let mut stats = dispatcher.stats;
     stats.degraded_units = ledger.degraded_units.len() as u64;
     Ok(DistBuild {
@@ -949,6 +919,10 @@ pub fn build_dataset_distributed<E: UnitExecutor + ?Sized>(
 /// Why a dispatcher lock can be poisoned: a dispatcher thread panicked
 /// while holding it.
 const LOCK: &str = "a dispatcher panicked holding a wave lock";
+
+/// Consecutive dispatch failures on one worker slot that trip its breaker
+/// and force a revive.
+const WORKER_BREAKER_THRESHOLD: u32 = 3;
 
 /// The dispatcher's state across one build's waves.
 struct Dispatcher<'a, E: ?Sized> {
@@ -1057,7 +1031,7 @@ impl<E: UnitExecutor + ?Sized> Dispatcher<'_, E> {
                                     if retry {
                                         s.reassignments += 1;
                                         s.backoff_virtual_ms +=
-                                            reassignment_backoff_ms(options, seed, &key, attempt);
+                                            reassignment_backoff_ms(seed, &key, attempt);
                                     }
                                 }
                                 if retry {
@@ -1067,7 +1041,7 @@ impl<E: UnitExecutor + ?Sized> Dispatcher<'_, E> {
                                         Some(UnitResolution::Lost(1 + attempt));
                                     pending.fetch_sub(1, Ordering::SeqCst);
                                 }
-                                if consecutive_failures >= options.worker_breaker_threshold.max(1) {
+                                if consecutive_failures >= WORKER_BREAKER_THRESHOLD {
                                     let revived = executor.revive(worker);
                                     stats.lock().expect(LOCK).worker_revivals += u64::from(revived);
                                     consecutive_failures = 0;
@@ -1163,7 +1137,7 @@ mod tests {
 
     fn small_config(seed: u64, sites: usize) -> WireBuildConfig {
         let corpus = Corpus::build(CorpusConfig::small(seed, sites));
-        WireBuildConfig::of(&corpus, BrowserConfig::default())
+        WireBuildConfig::of(&corpus)
     }
 
     fn oracle(seed: u64, sites: usize, quota: usize) -> (String, String) {
@@ -1412,13 +1386,12 @@ mod tests {
 
     #[test]
     fn reassignment_backoff_is_capped_and_pure() {
-        let options = DistOptions::default();
-        let a = reassignment_backoff_ms(&options, 7, "bd:0:64", 3);
-        assert_eq!(a, reassignment_backoff_ms(&options, 7, "bd:0:64", 3));
+        let a = reassignment_backoff_ms(7, "bd:0:64", 3);
+        assert_eq!(a, reassignment_backoff_ms(7, "bd:0:64", 3));
         // Deep attempts saturate at cap + jitter.
-        let deep = reassignment_backoff_ms(&options, 7, "bd:0:64", 40);
-        assert!(deep <= options.backoff_cap_ms + options.backoff_jitter_ms);
-        assert!(deep >= options.backoff_cap_ms);
+        let deep = reassignment_backoff_ms(7, "bd:0:64", 40);
+        assert!(deep <= BACKOFF_CAP_MS + BACKOFF_JITTER_MS);
+        assert!(deep >= BACKOFF_CAP_MS);
     }
 
     #[test]

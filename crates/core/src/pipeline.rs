@@ -58,11 +58,6 @@ use std::convert::Infallible;
 pub struct PipelineOptions {
     /// Sites per country to select (the paper: 10,000).
     pub quota: usize,
-    pub browser: BrowserConfig,
-    /// Cap on captured extreme examples (Table 4).
-    pub max_extreme_examples: usize,
-    /// Cap on captured mismatch examples (Table 5).
-    pub max_mismatch_examples: usize,
     /// Worker threads for the shared pool; 0 means one per core.
     pub threads: usize,
     /// Chaos hook: panic inside the analysis of any site whose host this
@@ -75,9 +70,6 @@ impl Default for PipelineOptions {
     fn default() -> Self {
         PipelineOptions {
             quota: 1_000,
-            browser: BrowserConfig::default(),
-            max_extreme_examples: 40,
-            max_mismatch_examples: 24,
             threads: 0,
             chaos_panic_host: None,
         }
@@ -104,41 +96,34 @@ pub fn build_dataset_with_ledger(
     } else {
         options.threads
     };
-    let built = run_build(
-        corpus,
-        options.quota,
-        options.max_extreme_examples,
-        options.max_mismatch_examples,
-        threads,
-        |units| {
-            // One browser per pool worker: its fetch buffer (and the
-            // render arenas it exercises downstream) are recycled across
-            // every unit the worker runs, regardless of country.
-            Ok::<_, Infallible>(run_work_stealing_with(
-                threads,
-                units,
-                |_| Browser::new(corpus.internet(), options.browser),
-                |browser, _, unit| {
-                    let range = unit.range.clone();
-                    let panic_host = options.chaos_panic_host;
-                    UnitResolution::Done(execute_unit(
-                        corpus,
-                        browser,
-                        unit.country,
-                        range,
-                        panic_host,
-                    ))
-                },
-            ))
-        },
-    );
+    let built = run_build(corpus, options.quota, threads, |units| {
+        // One browser per pool worker: its fetch buffer (and the
+        // render arenas it exercises downstream) are recycled across
+        // every unit the worker runs, regardless of country.
+        Ok::<_, Infallible>(run_work_stealing_with(
+            threads,
+            units,
+            |_| Browser::new(corpus.internet(), BrowserConfig::default()),
+            |browser, _, unit| {
+                let range = unit.range.clone();
+                let panic_host = options.chaos_panic_host;
+                UnitResolution::Done(execute_unit(
+                    corpus,
+                    browser,
+                    unit.country,
+                    range,
+                    panic_host,
+                ))
+            },
+        ))
+    });
     let Ok(built) = built;
     built
 }
 
 /// Analyse one qualifying site: classify every accessibility element,
 /// audit, and rescore. Example capture is uncapped here — the replay
-/// takes examples in walk order and truncates to the configured caps,
+/// takes examples in walk order and truncates to the Table 4 and 5 caps,
 /// which reproduces the sequential "first N qualifying" capture exactly.
 ///
 /// `gap_reader` is `Some` only on gap-enabled runs: the page's region

@@ -1,7 +1,7 @@
 //! # langcrux-crawl
 //!
 //! The crawling layer of the reproduction: a Puppeteer-equivalent page
-//! visitor (fetch → extract) and a worker-pool crawler.
+//! visitor (fetch → extract) and the worker pool the build runs it on.
 //!
 //! The paper "develop\[s\] a web crawler using Puppeteer, which simulates web
 //! browsing conditions in a Chromium environment … capturing network-level
@@ -27,7 +27,7 @@
 //! * [`clock`] — the deterministic [`VirtualClock`] all waiting is
 //!   counted against; nothing in the crawl layer ever sleeps.
 //! * [`pool`] — a shared work-stealing worker pool with deterministic,
-//!   scheduling-independent results; also the executor behind the
+//!   scheduling-independent results: the executor behind the
 //!   `langcrux-core` pipeline's `(country, chunk)` sharding.
 
 pub mod breaker;
@@ -42,9 +42,6 @@ pub use breaker::{Admission, BreakerConfig, BreakerState, CircuitBreaker};
 pub use browser::{Browser, BrowserConfig, Visit, VisitError, VisitTrace};
 pub use clock::VirtualClock;
 pub use extract::{ExtractedElement, PageExtract, TextSource};
-pub use pool::{
-    crawl_hosts, default_threads, run_work_stealing, run_work_stealing_with, CrawlConfig,
-    CrawlOutcome, CrawlStats,
-};
+pub use pool::{default_threads, run_work_stealing, run_work_stealing_with};
 pub use regions::LangRegion;
 pub use stream::extract_streaming;

@@ -10,9 +10,6 @@
 //! pipeline in `langcrux-core` keep its deterministic study-order merge
 //! while sharding (country, candidate-chunk) units across every core.
 
-use crate::browser::{Browser, BrowserConfig, Visit, VisitError};
-use langcrux_net::{Internet, Url, Vantage};
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 use std::sync::Mutex;
 
@@ -44,8 +41,9 @@ where
 /// every task that worker executes (stolen tasks included).
 ///
 /// This is how the crawl threads reusable resources through the pool —
-/// each worker holds one [`Browser`] (with its recycled fetch buffer)
-/// across every visit it performs, instead of rebuilding per task. The
+/// each worker holds one [`Browser`](crate::Browser) (with its recycled
+/// fetch buffer) across every visit it performs, instead of rebuilding per
+/// task. The
 /// determinism contract is unchanged *provided* task results do not depend
 /// on the state's history, which holds for browsers (a visit depends only
 /// on `(corpus seed, host, vantage)`).
@@ -160,116 +158,9 @@ fn steal(queues: &[Mutex<VecDeque<usize>>], own: usize) -> Option<usize> {
     }
 }
 
-/// Pool configuration.
-#[derive(Debug, Clone, Copy)]
-pub struct CrawlConfig {
-    pub threads: usize,
-    pub browser: BrowserConfig,
-}
-
-impl Default for CrawlConfig {
-    fn default() -> Self {
-        CrawlConfig {
-            threads: default_threads().min(16),
-            browser: BrowserConfig::default(),
-        }
-    }
-}
-
-/// Aggregate crawl telemetry.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct CrawlStats {
-    pub attempted: u64,
-    pub succeeded: u64,
-    pub failed: u64,
-    pub restricted: u64,
-    pub retried_visits: u64,
-    pub total_bytes: u64,
-    pub total_latency_ms: u64,
-}
-
-/// Result of crawling a host list.
-pub struct CrawlOutcome {
-    /// `(host, result)` sorted by host for determinism.
-    pub visits: Vec<(String, Result<Visit, VisitError>)>,
-    pub stats: CrawlStats,
-}
-
-impl CrawlOutcome {
-    /// Iterate only the successful visits.
-    pub fn successes(&self) -> impl Iterator<Item = (&str, &Visit)> {
-        self.visits
-            .iter()
-            .filter_map(|(h, r)| r.as_ref().ok().map(|v| (h.as_str(), v)))
-    }
-}
-
-/// Crawl `hosts` from `vantage` using the work-stealing pool.
-pub fn crawl_hosts(
-    internet: &Internet,
-    vantage: Vantage,
-    hosts: &[String],
-    config: CrawlConfig,
-) -> CrawlOutcome {
-    // One browser per worker: the body buffer (and any downstream render
-    // arena it triggers) is recycled across every host the worker visits.
-    let results = run_work_stealing_with(
-        config.threads,
-        hosts,
-        |_| Browser::new(internet, config.browser),
-        |browser, _, host: &String| browser.visit(&Url::from_host(host), vantage),
-    );
-
-    let mut visits: Vec<(String, Result<Visit, VisitError>)> =
-        hosts.iter().cloned().zip(results).collect();
-    visits.sort_by(|a, b| a.0.cmp(&b.0));
-
-    let mut stats = CrawlStats {
-        attempted: hosts.len() as u64,
-        ..CrawlStats::default()
-    };
-    for (_, result) in &visits {
-        match result {
-            Ok(v) => {
-                stats.succeeded += 1;
-                stats.total_bytes += v.html_bytes as u64;
-                stats.total_latency_ms += u64::from(v.latency_ms);
-                if v.attempts > 1 {
-                    stats.retried_visits += 1;
-                }
-            }
-            Err(VisitError::Restricted) => {
-                stats.restricted += 1;
-                stats.failed += 1;
-            }
-            Err(_) => stats.failed += 1,
-        }
-    }
-    CrawlOutcome { visits, stats }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use langcrux_lang::Country;
-    use langcrux_net::{ContentServer, ContentVariant, FaultPlan};
-
-    fn server(tag: String) -> Box<dyn ContentServer> {
-        Box::new(move |_v: ContentVariant, _p: &str| {
-            format!("<html><head><title>{tag}</title></head><body><p>{tag}</p></body></html>")
-        })
-    }
-
-    fn build_net(hosts: usize, plan: FaultPlan) -> (Internet, Vec<String>) {
-        let mut net = Internet::new(21, plan);
-        let mut names = Vec::new();
-        for i in 0..hosts {
-            let host = format!("site{i}.jp");
-            net.register_simple(&host, Country::Japan, server(host.clone()));
-            names.push(host);
-        }
-        (net, names)
-    }
 
     #[test]
     fn work_stealing_preserves_task_order() {
@@ -343,77 +234,5 @@ mod tests {
         let none: Vec<u32> = Vec::new();
         assert!(run_work_stealing(4, &none, |_, t| *t).is_empty());
         assert_eq!(run_work_stealing(8, &[9u32], |_, t| *t), vec![9]);
-    }
-
-    #[test]
-    fn crawl_collects_all_hosts() {
-        let (net, hosts) = build_net(40, FaultPlan::RELIABLE);
-        let outcome = crawl_hosts(
-            &net,
-            Vantage::Residential(Country::Japan),
-            &hosts,
-            CrawlConfig {
-                threads: 4,
-                browser: BrowserConfig::default(),
-            },
-        );
-        assert_eq!(outcome.visits.len(), 40);
-        assert_eq!(outcome.stats.succeeded, 40);
-        assert_eq!(outcome.stats.failed, 0);
-        assert!(outcome.stats.total_bytes > 0);
-    }
-
-    #[test]
-    fn parallel_equals_serial() {
-        let (net, hosts) = build_net(60, FaultPlan::HOSTILE);
-        let run = |threads: usize| {
-            let outcome = crawl_hosts(
-                &net,
-                Vantage::Cloud,
-                &hosts,
-                CrawlConfig {
-                    threads,
-                    browser: BrowserConfig::default(),
-                },
-            );
-            outcome
-                .visits
-                .iter()
-                .map(|(h, r)| (h.clone(), r.is_ok()))
-                .collect::<Vec<_>>()
-        };
-        // Determinism: outcome (per host) must not depend on thread count.
-        assert_eq!(run(1), run(8));
-    }
-
-    #[test]
-    fn stats_count_failures() {
-        let (net, hosts) = build_net(80, FaultPlan::HOSTILE);
-        let outcome = crawl_hosts(&net, Vantage::Cloud, &hosts, CrawlConfig::default());
-        assert_eq!(outcome.stats.attempted, 80);
-        assert_eq!(
-            outcome.stats.succeeded + outcome.stats.failed,
-            outcome.visits.len() as u64
-        );
-        // A hostile plan with retries should still recover most hosts.
-        assert!(outcome.stats.succeeded > 60);
-    }
-
-    #[test]
-    fn empty_host_list() {
-        let (net, _) = build_net(1, FaultPlan::RELIABLE);
-        let outcome = crawl_hosts(&net, Vantage::Cloud, &[], CrawlConfig::default());
-        assert!(outcome.visits.is_empty());
-        assert_eq!(outcome.stats.attempted, 0);
-    }
-
-    #[test]
-    fn successes_iterator() {
-        let (net, hosts) = build_net(10, FaultPlan::RELIABLE);
-        let outcome = crawl_hosts(&net, Vantage::Cloud, &hosts, CrawlConfig::default());
-        assert_eq!(outcome.successes().count(), 10);
-        for (host, visit) in outcome.successes() {
-            assert!(visit.extract.visible_text.contains(host));
-        }
     }
 }

@@ -128,16 +128,10 @@ fn decode_reference(body: &str) -> Option<char> {
     named_lookup(body)
 }
 
-/// Escape text for inclusion in HTML text content.
-pub fn escape_text(input: &str) -> String {
-    let mut out = String::with_capacity(input.len());
-    escape_text_into(input, &mut out);
-    out
-}
-
-/// [`escape_text`] appended to a caller-owned buffer: clean spans are
-/// copied wholesale (the common case — generated prose rarely contains
-/// markup metacharacters — costs one memcpy and zero allocations).
+/// Escape text for inclusion in HTML text content, appended to a
+/// caller-owned buffer: clean spans are copied wholesale (the common case
+/// — generated prose rarely contains markup metacharacters — costs one
+/// memcpy and zero allocations).
 pub fn escape_text_into(input: &str, out: &mut String) {
     let mut rest = input;
     while let Some(i) = rest.find(['&', '<', '>']) {
@@ -152,15 +146,9 @@ pub fn escape_text_into(input: &str, out: &mut String) {
     out.push_str(rest);
 }
 
-/// Escape text for inclusion in a double-quoted attribute value.
-pub fn escape_attr(input: &str) -> String {
-    let mut out = String::with_capacity(input.len());
-    escape_attr_into(input, &mut out);
-    out
-}
-
-/// [`escape_attr`] appended to a caller-owned buffer (see
-/// [`escape_text_into`] for the fast path).
+/// Escape text for inclusion in a double-quoted attribute value,
+/// appended to a caller-owned buffer (see [`escape_text_into`] for the
+/// fast path).
 pub fn escape_attr_into(input: &str, out: &mut String) {
     let mut rest = input;
     while let Some(i) = rest.find(['&', '<', '"']) {
@@ -236,8 +224,11 @@ mod tests {
     #[test]
     fn escape_round_trip() {
         let original = "a < b & \"c\" > d";
-        assert_eq!(decode(&escape_text(original)), original);
-        assert_eq!(decode(&escape_attr(original)), original);
+        let (mut text, mut attr) = (String::new(), String::new());
+        escape_text_into(original, &mut text);
+        escape_attr_into(original, &mut attr);
+        assert_eq!(decode(&text), original);
+        assert_eq!(decode(&attr), original);
     }
 
     #[test]

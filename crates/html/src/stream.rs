@@ -143,7 +143,7 @@ pub fn stream_extract<S: StreamSink>(html: &str, sink: S) -> (String, ScriptHist
         stack,
         names,
         skip_depth: 0,
-        normaliser: Normaliser::with_buffer(out, ScriptHistogram::default()),
+        normaliser: Normaliser::with_buffer(out),
         text_buf,
         sink,
     };
@@ -247,7 +247,7 @@ struct StreamWalk<S> {
     /// Number of open elements that are non-rendering or hidden; text is
     /// visible iff zero.
     skip_depth: usize,
-    normaliser: Normaliser<ScriptHistogram>,
+    normaliser: Normaliser,
     /// Scratch buffer for entity decoding, reused across text runs.
     text_buf: String,
     sink: S,

@@ -101,64 +101,41 @@ pub fn is_block(name: &str) -> bool {
     )
 }
 
-/// Observer of every character emitted into the normalised text. The unit
-/// impl gives a tally-free walk.
-pub trait CharTally {
-    fn push(&mut self, c: char);
-}
-
-impl CharTally for () {
-    #[inline]
-    fn push(&mut self, _: char) {}
-}
-
-impl CharTally for ScriptHistogram {
-    #[inline]
-    fn push(&mut self, c: char) {
-        ScriptHistogram::push(self, c);
-    }
-}
-
 /// Streaming whitespace normaliser: the tokenizer-fed walk in
 /// [`crate::stream`] — and the DOM walk of the `langcrux-oracle` crate,
 /// which the tests compare it with — feed text runs and block boundaries
-/// directly into it, so the visible text (and, when requested, its script
-/// histogram) is produced in one pass with no intermediate buffer. Both
-/// walks share this one struct, which is what makes their outputs
-/// byte-identical by construction.
-pub struct Normaliser<T> {
+/// directly into it, so the visible text and its script histogram are
+/// produced in one pass with no intermediate buffer. Both walks share this
+/// one struct, which is what makes their outputs byte-identical by
+/// construction.
+#[derive(Default)]
+pub struct Normaliser {
     out: String,
-    tally: T,
+    histogram: ScriptHistogram,
     pending_newline: bool,
     pending_space: bool,
 }
 
-impl<T: CharTally> Normaliser<T> {
-    pub fn new(tally: T) -> Self {
-        Normaliser::with_buffer(String::new(), tally)
-    }
-
+impl Normaliser {
     /// A normaliser writing into `out`, which must be empty (the
     /// streaming walk passes its recycled buffer).
-    pub(crate) fn with_buffer(out: String, tally: T) -> Self {
+    pub(crate) fn with_buffer(out: String) -> Self {
         debug_assert!(out.is_empty());
         Normaliser {
             out,
-            tally,
-            pending_newline: false,
-            pending_space: false,
+            ..Normaliser::default()
         }
     }
 
-    /// The normalised text and the tally of its characters.
-    pub fn finish(self) -> (String, T) {
-        (self.out, self.tally)
+    /// The normalised text and the script histogram of its characters.
+    pub fn finish(self) -> (String, ScriptHistogram) {
+        (self.out, self.histogram)
     }
 
     #[inline]
     fn emit(&mut self, c: char) {
         self.out.push(c);
-        self.tally.push(c);
+        self.histogram.push(c);
     }
 
     pub fn block_boundary(&mut self) {
@@ -191,7 +168,7 @@ impl<T: CharTally> Normaliser<T> {
                 self.separate();
                 run = Some(i);
             }
-            self.tally.push(c);
+            self.histogram.push(c);
         }
         if let Some(start) = run {
             self.out.push_str(&text[start..]);

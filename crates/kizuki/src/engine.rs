@@ -103,11 +103,6 @@ impl Kizuki {
         self
     }
 
-    /// Number of registered checks.
-    pub fn check_count(&self) -> usize {
-        self.checks.len()
-    }
-
     /// Run all checks against a page and rescore the base report:
     /// [`Self::evaluate_analysis`] over a [`PageAnalysis`] made here.
     pub fn evaluate(&self, extract: &PageExtract, base: &AuditReport) -> KizukiReport {

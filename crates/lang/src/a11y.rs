@@ -85,24 +85,6 @@ impl ElementKind {
             .copied()
             .find(|k| k.audit_id() == id)
     }
-
-    /// The primary HTML tag this kind targets.
-    pub fn html_tag(self) -> &'static str {
-        match self {
-            ElementKind::ButtonName => "button",
-            ElementKind::DocumentTitle => "title",
-            ElementKind::ImageAlt => "img",
-            ElementKind::FrameTitle => "iframe",
-            ElementKind::SummaryName => "summary",
-            ElementKind::Label => "input",
-            ElementKind::InputImageAlt => "input",
-            ElementKind::SelectName => "select",
-            ElementKind::LinkName => "a",
-            ElementKind::InputButtonName => "input",
-            ElementKind::SvgImgAlt => "svg",
-            ElementKind::ObjectAlt => "object",
-        }
-    }
 }
 
 #[cfg(test)]

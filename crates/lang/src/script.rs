@@ -498,11 +498,6 @@ impl ScriptHistogram {
             .filter(|(_, &n)| n > 0)
             .map(|(i, &n)| (Script::from_index(i), n))
     }
-
-    /// Number of distinct distinguishing scripts present.
-    pub fn script_count(&self) -> usize {
-        self.counts.iter().filter(|&&n| n > 0).count()
-    }
 }
 
 #[cfg(test)]

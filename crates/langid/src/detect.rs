@@ -184,11 +184,6 @@ impl TrigramDetector {
         }
     }
 
-    /// Number of trained language models.
-    pub fn trained_languages(&self) -> usize {
-        self.models.len()
-    }
-
     /// Classify text; returns the best language and its cosine score.
     pub fn classify(&self, text: &str) -> Option<(Language, f64)> {
         let grams = Self::trigrams(text);

@@ -18,7 +18,7 @@
 
 use crate::fault::{FaultDice, FaultPlan, RollPurpose};
 use crate::geo::{provider, Vantage};
-use crate::types::{ContentVariant, FetchError, Request, Response};
+use crate::types::{ContentVariant, FetchError, Request};
 use langcrux_lang::Country;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -318,22 +318,6 @@ impl Internet {
         FaultDice::new(self.seed, host, attempt).latency_ms(&self.plan)
     }
 
-    /// Execute one request, allocating a fresh response body.
-    ///
-    /// Convenience wrapper over [`fetch_into`](Internet::fetch_into);
-    /// crawl hot loops reuse a body buffer there instead.
-    pub fn fetch(&self, req: &Request) -> Result<Response, FetchError> {
-        let mut body = String::new();
-        let meta = self.fetch_into(req, &mut body)?;
-        Ok(Response {
-            url: req.url.clone(),
-            status: meta.status,
-            body: body.into_bytes().into(),
-            variant: meta.variant,
-            latency_ms: meta.latency_ms,
-        })
-    }
-
     /// Execute one request, appending the body to a caller-owned buffer
     /// (cleared first). The crawl path's zero-copy fetch: a browser reuses
     /// one buffer across every visit, and content servers with a
@@ -484,9 +468,8 @@ impl Internet {
     }
 }
 
-/// Response metadata from [`Internet::fetch_into`] — everything a
-/// [`Response`] carries except the body, which lives in the caller's
-/// buffer.
+/// Response metadata from [`Internet::fetch_into`]; the body lives in
+/// the caller's buffer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FetchMeta {
     pub status: u16,
@@ -529,6 +512,12 @@ mod tests {
         })
     }
 
+    /// One fetch into a fresh buffer: the response metadata and body.
+    fn fetch(net: &Internet, req: &Request) -> Result<(FetchMeta, String), FetchError> {
+        let mut body = String::new();
+        net.fetch_into(req, &mut body).map(|meta| (meta, body))
+    }
+
     fn internet() -> Internet {
         let mut net = Internet::new(7, FaultPlan::RELIABLE);
         net.register_simple("news.bd", Country::Bangladesh, test_server("bd"));
@@ -550,17 +539,17 @@ mod tests {
             Url::from_host("news.bd"),
             Vantage::Residential(Country::Bangladesh),
         );
-        let resp = net.fetch(&req).unwrap();
+        let (resp, body) = fetch(&net, &req).unwrap();
         assert_eq!(resp.variant, ContentVariant::Localized);
         assert_eq!(resp.status, 200);
-        assert!(resp.text().contains("Localized"));
+        assert!(body.contains("Localized"));
     }
 
     #[test]
     fn cloud_vantage_gets_global() {
         let net = internet();
         let req = Request::new(Url::from_host("news.bd"), Vantage::Cloud);
-        let resp = net.fetch(&req).unwrap();
+        let (resp, _) = fetch(&net, &req).unwrap();
         assert_eq!(resp.variant, ContentVariant::Global);
     }
 
@@ -571,7 +560,7 @@ mod tests {
             Url::from_host("news.bd"),
             Vantage::Residential(Country::Thailand),
         );
-        assert_eq!(net.fetch(&req).unwrap().variant, ContentVariant::Global);
+        assert_eq!(fetch(&net, &req).unwrap().0.variant, ContentVariant::Global);
     }
 
     #[test]
@@ -581,7 +570,10 @@ mod tests {
             Url::from_host("news.bd"),
             vpn_vantage(Country::Bangladesh).unwrap(),
         );
-        assert_eq!(net.fetch(&req).unwrap().variant, ContentVariant::Localized);
+        assert_eq!(
+            fetch(&net, &req).unwrap().0.variant,
+            ContentVariant::Localized
+        );
     }
 
     #[test]
@@ -589,7 +581,7 @@ mod tests {
         let net = internet();
         let req = Request::new(Url::from_host("nosuch.xx"), Vantage::Cloud);
         assert_eq!(
-            net.fetch(&req).unwrap_err(),
+            fetch(&net, &req).unwrap_err(),
             FetchError::UnknownHost("nosuch.xx".into())
         );
         assert_eq!(net.metrics().unknown_hosts, 1);
@@ -599,13 +591,13 @@ mod tests {
     fn geo_block_wall_blocks_foreigners_only() {
         let net = internet();
         let foreign = Request::new(Url::from_host("wall.th"), Vantage::Cloud);
-        assert_eq!(net.fetch(&foreign).unwrap_err(), FetchError::GeoBlocked);
+        assert_eq!(fetch(&net, &foreign).unwrap_err(), FetchError::GeoBlocked);
         let national = Request::new(
             Url::from_host("wall.th"),
             Vantage::Residential(Country::Thailand),
         );
         assert_eq!(
-            net.fetch(&national).unwrap().variant,
+            fetch(&net, &national).unwrap().0.variant,
             ContentVariant::Localized
         );
     }
@@ -618,7 +610,10 @@ mod tests {
             Vantage::Residential(Country::Bangladesh),
         );
         // paranoid.bd detects 100% of VPNs but this is not a VPN.
-        assert_eq!(net.fetch(&req).unwrap().variant, ContentVariant::Localized);
+        assert_eq!(
+            fetch(&net, &req).unwrap().0.variant,
+            ContentVariant::Localized
+        );
     }
 
     #[test]
@@ -633,7 +628,7 @@ mod tests {
             Url::from_host("p.bd"),
             vpn_vantage(Country::Bangladesh).unwrap(),
         );
-        let resp = net.fetch(&req).unwrap();
+        let (resp, _) = fetch(&net, &req).unwrap();
         assert_eq!(resp.variant, ContentVariant::Restricted);
         assert_eq!(resp.status, 451);
         assert_eq!(net.metrics().vpn_detections, 1);
@@ -652,7 +647,7 @@ mod tests {
             (0..50)
                 .map(|i| {
                     let req = Request::new(Url::from_host(&format!("h{i}.bd")), Vantage::Cloud);
-                    net.fetch(&req).is_ok()
+                    fetch(net, &req).is_ok()
                 })
                 .collect()
         };
@@ -674,8 +669,8 @@ mod tests {
         let mut recovered = 0;
         for i in 0..100 {
             let req = Request::new(Url::from_host(&format!("r{i}.bd")), Vantage::Cloud);
-            if let Err(e) = net.fetch(&req) {
-                if e.is_retryable() && net.fetch(&req.retry()).is_ok() {
+            if let Err(e) = fetch(&net, &req) {
+                if e.is_retryable() && fetch(&net, &req.retry()).is_ok() {
                     recovered += 1;
                 }
             }
@@ -690,8 +685,8 @@ mod tests {
             Url::from_host("news.bd"),
             Vantage::Residential(Country::Bangladesh),
         );
-        net.fetch(&req).unwrap();
-        net.fetch(&req).unwrap();
+        fetch(&net, &req).unwrap();
+        fetch(&net, &req).unwrap();
         let m = net.metrics();
         assert_eq!(m.requests, 2);
         assert_eq!(m.localized_responses, 2);
@@ -756,7 +751,7 @@ mod tests {
         let mut net = Internet::new(7, plan);
         net.register_simple("flaky.bd", Country::Bangladesh, test_server("f"));
         let req = Request::new(Url::from_host("flaky.bd"), Vantage::Cloud);
-        let err = net.fetch(&req).unwrap_err();
+        let err = fetch(&net, &req).unwrap_err();
         match err {
             FetchError::ServerError(code) => assert!((500..=504).contains(&code)),
             other => panic!("expected 5xx, got {other:?}"),
@@ -772,7 +767,7 @@ mod tests {
             Url::from_host("news.bd"),
             Vantage::Residential(Country::Bangladesh),
         );
-        let resp = net.fetch(&req).unwrap();
+        let (resp, _) = fetch(&net, &req).unwrap();
         assert_eq!(resp.latency_ms, net.attempt_cost_ms("news.bd", 0));
         assert_eq!(net.seed(), 7);
         assert_eq!(net.fault_plan(), &FaultPlan::RELIABLE);

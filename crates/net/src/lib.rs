@@ -15,7 +15,7 @@
 //!   per-country provider selection.
 //! * [`fault`] — smoltcp-style deterministic fault injection at the HTTP
 //!   level (timeouts, resets, VPN detection, latency shaping).
-//! * [`types`] — request/response/variant/error types.
+//! * [`types`] — request/variant/error types.
 //! * [`internet`] — the host registry and serving logic.
 
 pub mod fault;
@@ -27,5 +27,5 @@ pub mod url;
 pub use fault::{ChaosKillPlan, FaultDice, FaultPlan};
 pub use geo::{select_provider, vpn_vantage, Vantage, VpnProviderId};
 pub use internet::{ContentServer, FetchMeta, HostResolver, Internet, NetMetrics, ResolvedHost};
-pub use types::{ContentVariant, FetchError, Request, Response};
+pub use types::{ContentVariant, FetchError, Request};
 pub use url::Url;

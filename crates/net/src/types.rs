@@ -1,10 +1,9 @@
-//! Request/response types of the simulated HTTP layer.
+//! Request, variant and error types of the simulated HTTP layer.
 
 use crate::geo::Vantage;
 use crate::url::Url;
 use serde::{Deserialize, Serialize};
 use std::fmt;
-use std::sync::Arc;
 
 /// Which variant of a site's content a response carries.
 ///
@@ -47,23 +46,6 @@ impl Request {
             vantage: self.vantage,
             attempt: self.attempt + 1,
         }
-    }
-}
-
-/// A successful response.
-#[derive(Debug, Clone)]
-pub struct Response {
-    pub url: Url,
-    pub status: u16,
-    pub body: Arc<[u8]>,
-    pub variant: ContentVariant,
-    pub latency_ms: u32,
-}
-
-impl Response {
-    /// Body as UTF-8 (the simulated web always serves UTF-8).
-    pub fn text(&self) -> &str {
-        std::str::from_utf8(&self.body).expect("simulated bodies are UTF-8")
     }
 }
 
@@ -125,18 +107,6 @@ mod tests {
         assert!(FetchError::ServerError(503).is_retryable());
         assert!(!FetchError::GeoBlocked.is_retryable());
         assert!(!FetchError::UnknownHost("x".into()).is_retryable());
-    }
-
-    #[test]
-    fn response_text() {
-        let r = Response {
-            url: Url::from_host("a.bd"),
-            status: 200,
-            body: Arc::from("<html>হ্যালো</html>".as_bytes()),
-            variant: ContentVariant::Localized,
-            latency_ms: 80,
-        };
-        assert!(r.text().contains("হ্যালো"));
     }
 
     #[test]

@@ -3,19 +3,15 @@
 //! Every subsystem that owns telemetry (net fault counters, corpus shard
 //! gauges, crawl ledger taxonomy, serve request/latency stats, trace
 //! aggregates) implements an *encode* step against [`Encoder`] — a typed
-//! counter/gauge/histogram sample collector. One encoder pass is the
-//! single source of truth: [`Encoder::prometheus_text`] renders the
-//! Prometheus 0.0.4 exposition (served by `/v1/metrics`, written by
-//! `repro --metrics-out`), [`Encoder::to_value`] renders the same
-//! samples as a flat JSON object (embedded in `/v1/stats`), and
-//! [`Encoder::flat_samples`] backs the test asserting the two never
-//! drift.
+//! counter/gauge/histogram sample collector. One rendering serves every
+//! consumer: [`Encoder::prometheus_text`] writes the Prometheus 0.0.4
+//! exposition (served by `/v1/metrics`, written by `repro
+//! --metrics-out`).
 //!
 //! [`Registry`] is the dynamic half: long-lived processes (the serve
 //! daemon) register collector closures so pipeline gauges from completed
 //! builds appear on every later scrape.
 
-use serde::Value;
 use std::sync::Mutex;
 
 /// Prometheus metric kind.
@@ -46,15 +42,12 @@ pub struct Sample {
 }
 
 impl Sample {
-    /// `name{k="v",...}` — the flat identity used by both the JSON view
-    /// and the drift test.
+    /// `name{k="v",...}` — the sample's series identity in the exposition.
     ///
     /// Label *values* are escaped per the Prometheus text-format spec
     /// (`\` → `\\`, `"` → `\"`, newline → `\n`): a value containing a
     /// quote or newline would otherwise break out of the sample line and
-    /// corrupt the whole exposition. Every rendering path — the text
-    /// exposition, [`Encoder::flat_samples`], [`Encoder::to_value`] —
-    /// funnels through here, so all three stay in agreement.
+    /// corrupt the whole exposition.
     pub fn flat_name(&self) -> String {
         if self.labels.is_empty() {
             return self.name.clone();
@@ -232,25 +225,6 @@ impl Encoder {
         }
         out
     }
-
-    /// Every sample as `(flat_name, value)`, in exposition order.
-    pub fn flat_samples(&self) -> Vec<(String, f64)> {
-        self.families
-            .iter()
-            .flat_map(|f| f.samples.iter().map(|s| (s.flat_name(), s.value)))
-            .collect()
-    }
-
-    /// The same samples as a flat JSON object (`flat_name` → number),
-    /// integer-typed where exact.
-    pub fn to_value(&self) -> Value {
-        Value::Object(
-            self.flat_samples()
-                .into_iter()
-                .map(|(name, value)| (name, number(value)))
-                .collect(),
-        )
-    }
 }
 
 /// Exposition value formatting: integers render without a decimal point
@@ -264,25 +238,13 @@ fn fmt_value(v: f64) -> String {
     }
 }
 
-fn number(v: f64) -> Value {
-    if v.is_finite() && v.fract() == 0.0 && v.abs() < 9_007_199_254_740_992.0 {
-        if v >= 0.0 {
-            Value::UInt(v as u64)
-        } else {
-            Value::Int(v as i64)
-        }
-    } else {
-        Value::Float(v)
-    }
-}
-
 /// A metrics collector: encodes one subsystem's snapshot on scrape.
 type Collector = Box<dyn Fn(&mut Encoder) + Send + Sync>;
 
 /// A set of collector closures encoded on every scrape. Serve holds one
 /// so an embedding process (the repro daemon after a build) can export
-/// pipeline/crawl/corpus telemetry through `/v1/metrics` and
-/// `/v1/stats` alongside the server's own counters.
+/// pipeline/crawl/corpus telemetry through `/v1/metrics` alongside the
+/// server's own counters.
 #[derive(Default)]
 pub struct Registry {
     collectors: Mutex<Vec<Collector>>,
@@ -400,24 +362,7 @@ mod tests {
     }
 
     #[test]
-    fn flat_samples_and_json_view_agree_with_exposition() {
-        let mut enc = Encoder::new();
-        enc.counter("a_total", "A.", 5.0);
-        enc.gauge_with("b", "B.", &[("k", "v")], 1.5);
-        let flat = enc.flat_samples();
-        assert_eq!(
-            flat,
-            vec![
-                ("a_total".to_string(), 5.0),
-                ("b{k=\"v\"}".to_string(), 1.5)
-            ]
-        );
-        let json = serde_json::to_string(&enc.to_value()).unwrap();
-        assert_eq!(json, "{\"a_total\":5,\"b{k=\\\"v\\\"}\":1.5}");
-    }
-
-    #[test]
-    fn hostile_label_values_are_escaped_in_every_view() {
+    fn hostile_label_values_are_escaped_in_the_exposition() {
         let mut enc = Encoder::new();
         enc.counter_with(
             "evil_total",
@@ -433,11 +378,6 @@ mod tests {
             "{text:?}"
         );
         assert_eq!(text.lines().count(), 3, "{text:?}");
-        // flat_samples and the JSON view agree with the exposition.
-        let flat = enc.flat_samples();
-        assert_eq!(flat[0].0, "evil_total{path=\"a\\\"b\\\\c\\nd\"}");
-        let json = serde_json::to_string(&enc.to_value()).unwrap();
-        assert!(json.contains("evil_total"), "{json}");
         // A benign value is untouched.
         let plain = Sample {
             name: "ok".into(),

@@ -389,14 +389,6 @@ impl Span {
             d.virtual_ms = ms;
         }
     }
-
-    /// Attribute additional virtual-clock milliseconds to this span.
-    #[inline]
-    pub fn add_virtual_ms(&mut self, ms: u64) {
-        if let Some(d) = self.data.as_mut() {
-            d.virtual_ms += ms;
-        }
-    }
 }
 
 impl Drop for Span {

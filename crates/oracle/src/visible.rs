@@ -8,7 +8,7 @@
 
 use crate::dom::{Document, NodeId, NodeKind};
 use langcrux_html::stream::StreamSink;
-use langcrux_html::visible::{attrs_hide, is_block, is_non_rendering, CharTally, Normaliser};
+use langcrux_html::visible::{attrs_hide, is_block, is_non_rendering, Normaliser};
 use langcrux_lang::script::ScriptHistogram;
 
 /// Whether this single element (not its ancestors) is hidden.
@@ -20,9 +20,7 @@ pub fn element_hidden(doc: &Document, id: NodeId) -> bool {
 /// consecutive whitespace collapses to a single space; block boundaries
 /// insert a newline.
 pub fn visible_text(doc: &Document) -> String {
-    let mut sink = Normaliser::new(());
-    walk(doc, NodeId::ROOT, &mut sink);
-    sink.finish().0
+    visible_text_histogram(doc).0
 }
 
 /// Fused extraction: the visible text of the whole document *and* its
@@ -41,12 +39,12 @@ pub fn visible_text(doc: &Document) -> String {
 /// assert!(hist.count(Script::Bengali) > hist.count(Script::Latin));
 /// ```
 pub fn visible_text_histogram(doc: &Document) -> (String, ScriptHistogram) {
-    let mut sink = Normaliser::new(ScriptHistogram::default());
+    let mut sink = Normaliser::default();
     walk(doc, NodeId::ROOT, &mut sink);
     sink.finish()
 }
 
-fn walk<T: CharTally>(doc: &Document, id: NodeId, sink: &mut Normaliser<T>) {
+fn walk(doc: &Document, id: NodeId, sink: &mut Normaliser) {
     match &doc.node(id).kind {
         NodeKind::Text(t) => sink.push_text(t),
         NodeKind::Comment(_) => {}

@@ -25,14 +25,16 @@
 //!   `langcrux_serve_panics_total`), and the routing behind it:
 //!   `POST /v1/audit`, `POST /v1/batch` (streamed as chunked encoding
 //!   while the work-stealing pool completes units), `GET /v1/healthz`,
-//!   `GET /v1/stats` (JSON, or the Prometheus text exposition via
-//!   `Accept: text/plain`), `GET /v1/metrics` (always Prometheus).
+//!   `GET /v1/stats` (the typed JSON counters), `GET /v1/metrics` (the
+//!   Prometheus text exposition, with any collectors the embedding
+//!   process registered).
 //! * [`batch`] — the bounded reorder window between pool workers and the
 //!   streaming batch writer (`peak_batch_buffer` gauge).
 //! * [`stats`] — request counters (incl. shed/timeout/panic) and a
 //!   lock-free latency histogram (p50/p99) behind `GET /v1/stats`.
-//! * [`loadgen`] — loopback load generator behind `repro --loadgen`; its
-//!   response reader understands both framings.
+//! * [`loadgen`] — the blocking client (`get`, `post`, `read_response`)
+//!   the distributed build's executor, the tests and the example use;
+//!   its response reader understands both framings.
 //!
 //! ## Quickstart
 //!
@@ -59,11 +61,10 @@ pub use batch::{PeakGauge, StreamFanout};
 pub use cache::{CacheKey, CacheSnapshot, ShardedCache};
 pub use governor::{Admission, Governor};
 pub use http::{Limits, ParseError, Request, RequestParser, Response};
-pub use loadgen::{run_load, LoadGenRun};
 pub use pidfile::{claim as claim_pidfile, examine as examine_pidfile, PidFileDoc, PidFileStatus};
 pub use server::{
-    encode_stats, prometheus_text, route, spawn, Routed, RpcHook, ServeConfig, ServeState,
-    ServerHandle, StatsSnapshot,
+    encode_stats, route, spawn, Routed, RpcHook, ServeConfig, ServeState, ServerHandle,
+    StatsSnapshot,
 };
 pub use service::{AuditResponse, AuditService, ScriptSlice};
 pub use stats::{

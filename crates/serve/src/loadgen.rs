@@ -1,29 +1,11 @@
-//! Loopback load generator for the audit service.
-//!
-//! Drives a running server with `connections` concurrent keep-alive
-//! clients, each issuing `POST /v1/audit` requests round-robin over a
-//! shared page list, and reports throughput plus exact (not bucketed)
-//! p50/p99 client-side latency. `repro --loadgen ADDR` runs it against a
-//! live daemon and exits non-zero on any failed request.
+//! A blocking HTTP/1.1 client for the audit service: one request at a
+//! time over a caller's keep-alive connection. The distributed build's
+//! executor drives its worker processes with it, and the tests and the
+//! `serve_audit` example talk to a live server through it. Its response
+//! reader understands both framings, `Content-Length` and chunked.
 
-use serde::Serialize;
 use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpStream};
-use std::time::{Duration, Instant};
-
-/// One load-generation run.
-#[derive(Debug, Clone, Serialize)]
-pub struct LoadGenRun {
-    pub connections: usize,
-    pub requests: usize,
-    /// Responses with a non-200 status (0 on a healthy run).
-    pub errors: usize,
-    pub duration_ms: f64,
-    pub req_per_sec: f64,
-    pub p50_ms: f64,
-    pub p99_ms: f64,
-    pub max_ms: f64,
-}
+use std::net::TcpStream;
 
 /// Pull more bytes from the socket into `buf`, erroring on EOF.
 fn read_more(stream: &mut TcpStream, buf: &mut Vec<u8>) -> std::io::Result<()> {
@@ -159,116 +141,4 @@ pub fn get(
     let request = format!("GET {path} HTTP/1.1\r\nHost: loadgen\r\n\r\n");
     stream.write_all(request.as_bytes())?;
     read_response(stream, scratch)
-}
-
-/// Drive `total_requests` audits over `connections` concurrent keep-alive
-/// connections. Request `i` posts `pages[i % pages.len()]`; requests are
-/// pre-partitioned round-robin across connections.
-pub fn run_load(
-    addr: SocketAddr,
-    pages: &[String],
-    connections: usize,
-    total_requests: usize,
-) -> std::io::Result<LoadGenRun> {
-    assert!(!pages.is_empty(), "need at least one page");
-    let connections = connections.max(1).min(total_requests.max(1));
-    let started = Instant::now();
-
-    let results: Vec<std::io::Result<(Vec<u64>, usize)>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..connections)
-            .map(|c| {
-                scope.spawn(move || -> std::io::Result<(Vec<u64>, usize)> {
-                    let mut stream = TcpStream::connect(addr)?;
-                    stream.set_nodelay(true)?;
-                    stream.set_read_timeout(Some(Duration::from_secs(30)))?;
-                    let mut scratch = Vec::with_capacity(64 * 1024);
-                    let mut latencies = Vec::new();
-                    let mut errors = 0usize;
-                    let mut i = c;
-                    while i < total_requests {
-                        let page = &pages[i % pages.len()];
-                        let begin = Instant::now();
-                        let (status, _body) =
-                            post(&mut stream, "/v1/audit", page.as_bytes(), &mut scratch)?;
-                        latencies.push(begin.elapsed().as_micros() as u64);
-                        if status != 200 {
-                            errors += 1;
-                        }
-                        i += connections;
-                    }
-                    Ok((latencies, errors))
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("loadgen worker panicked"))
-            .collect()
-    });
-
-    let duration = started.elapsed();
-    let mut latencies = Vec::with_capacity(total_requests);
-    let mut errors = 0usize;
-    for result in results {
-        let (lat, err) = result?;
-        latencies.extend(lat);
-        errors += err;
-    }
-    latencies.sort_unstable();
-    let quantile = |q: f64| -> f64 {
-        if latencies.is_empty() {
-            return 0.0;
-        }
-        let rank = ((q * latencies.len() as f64).ceil() as usize).clamp(1, latencies.len());
-        latencies[rank - 1] as f64 / 1_000.0
-    };
-    let duration_ms = duration.as_secs_f64() * 1e3;
-    Ok(LoadGenRun {
-        connections,
-        requests: latencies.len(),
-        errors,
-        duration_ms,
-        req_per_sec: latencies.len() as f64 / duration.as_secs_f64().max(1e-9),
-        p50_ms: quantile(0.50),
-        p99_ms: quantile(0.99),
-        max_ms: latencies.last().copied().unwrap_or(0) as f64 / 1_000.0,
-    })
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::server::{spawn, ServeConfig};
-
-    const PAGE: &str = "<html lang=el><head><title>Πύλη</title></head><body>\
-        <p>Καλώς ήρθατε στην εθνική πύλη ενημέρωσης πολιτών.</p>\
-        <img src=a alt=\"άποψη του λιμανιού\"></body></html>";
-
-    #[test]
-    fn loadgen_round_trips_against_a_live_server() {
-        let server = spawn(ServeConfig::default()).expect("spawn server");
-        let pages: Vec<String> = (0..6)
-            .map(|i| PAGE.replace("λιμανιού", &format!("λιμανιού {i}")))
-            .collect();
-        let run = run_load(server.addr(), &pages, 3, 24).expect("load run");
-        assert_eq!(run.requests, 24);
-        assert_eq!(run.errors, 0);
-        assert!(run.req_per_sec > 0.0);
-        assert!(run.p50_ms <= run.p99_ms);
-        assert!(run.p99_ms <= run.max_ms + 1e-9);
-        // 6 distinct pages visited 24 times: 6 misses, 18 hits.
-        let stats = server.shutdown();
-        assert_eq!(stats.cache.misses, 6);
-        assert_eq!(stats.cache.hits, 18);
-        assert_eq!(stats.requests.audit, 24);
-    }
-
-    #[test]
-    fn connections_clamped_to_requests() {
-        let server = spawn(ServeConfig::default()).expect("spawn server");
-        let run = run_load(server.addr(), &[PAGE.to_string()], 8, 2).expect("load run");
-        assert_eq!(run.connections, 2);
-        assert_eq!(run.requests, 2);
-        server.shutdown();
-    }
 }

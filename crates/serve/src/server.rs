@@ -149,8 +149,8 @@ pub struct ServeState {
     pub peak_batch_buffer: PeakGauge,
     /// Extra metric collectors registered by the embedding process —
     /// the repro daemon registers its pipeline/crawl/corpus telemetry
-    /// here after a build, so `/v1/metrics` and `/v1/stats` export it
-    /// alongside the server's own counters.
+    /// here after a build, so `/v1/metrics` exports it alongside the
+    /// server's own counters.
     pub extra: obs::Registry,
     batch_threads: usize,
     /// See [`ServeConfig::max_batch_bytes`].
@@ -199,9 +199,8 @@ impl ServeState {
 
     /// One registry pass over everything this server exports: build
     /// info, its own stats, and every collector registered in
-    /// [`extra`](ServeState::extra). `/v1/metrics` (Prometheus) and the
-    /// `metrics` object inside `/v1/stats` (JSON) are both rendered
-    /// from this encoder, so the two views cannot drift.
+    /// [`extra`](ServeState::extra). `GET /v1/metrics` renders it as
+    /// the Prometheus text exposition.
     pub fn encode_metrics(&self, stats: &StatsSnapshot) -> obs::Encoder {
         let mut enc = obs::Encoder::new();
         obs::registry::encode_build_info(&mut enc, "langcrux-serve", env!("CARGO_PKG_VERSION"));
@@ -355,45 +354,6 @@ pub fn encode_stats(stats: &StatsSnapshot, enc: &mut obs::Encoder) {
     );
 }
 
-/// Render the stats snapshot in Prometheus text exposition format
-/// (version 0.0.4) via [`encode_stats`] — one encoder pass shared with
-/// the JSON view, so the two can never drift.
-pub fn prometheus_text(stats: &StatsSnapshot) -> String {
-    let mut enc = obs::Encoder::new();
-    encode_stats(stats, &mut enc);
-    enc.prometheus_text()
-}
-
-/// Whether the request's `Accept` header *prefers* plain text over JSON
-/// (Prometheus scrapers send `text/plain` or the versioned exposition
-/// type). Honors q-values: `text/plain;q=0` refuses text, and
-/// `application/json, text/plain;q=0.1` keeps the JSON document —
-/// pre-PR clients of `/v1/stats` that merely tolerate text are not
-/// switched to the exposition format.
-fn accepts_text_plain(request: &Request) -> bool {
-    let Some(accept) = request.header("accept") else {
-        return false;
-    };
-    let mut text_q: f64 = 0.0;
-    let mut json_q: f64 = 0.0;
-    for item in accept.split(',') {
-        let mut parts = item.split(';');
-        let media = parts.next().unwrap_or("").trim().to_ascii_lowercase();
-        let mut q = 1.0f64;
-        for param in parts {
-            if let Some(value) = param.trim().strip_prefix("q=") {
-                q = value.trim().parse().unwrap_or(0.0);
-            }
-        }
-        match media.as_str() {
-            "text/plain" | "text/*" => text_q = text_q.max(q),
-            "application/json" | "application/*" => json_q = json_q.max(q),
-            _ => {}
-        }
-    }
-    text_q > 0.0 && text_q > json_q
-}
-
 /// A routed request: either a complete response, or a batch whose
 /// response the connection loop streams as chunked encoding while the
 /// work-stealing pool completes elements.
@@ -463,23 +423,7 @@ pub fn route(state: &ServeState, request: &Request) -> Routed {
         }
         ("GET", "/v1/stats") => {
             state.counters.stats.fetch_add(1, relaxed);
-            let stats = state.stats();
-            // Content negotiation: `Accept: text/plain` gets the
-            // Prometheus exposition instead of the JSON document.
-            if accepts_text_plain(request) {
-                let body = state.encode_metrics(&stats).prometheus_text().into_bytes();
-                return full(Response::prometheus(200, body, keep));
-            }
-            // Legacy typed fields plus a `metrics` object rendered from
-            // the same encoder pass as `/v1/metrics`.
-            let mut doc = serde_json::to_value(&stats).expect("stats serialize");
-            if let Value::Object(fields) = &mut doc {
-                fields.push((
-                    "metrics".to_string(),
-                    state.encode_metrics(&stats).to_value(),
-                ));
-            }
-            let body = serde_json::to_string(&doc)
+            let body = serde_json::to_string(&state.stats())
                 .expect("stats serialize")
                 .into_bytes();
             full(Response::json(200, body, keep))
@@ -1119,6 +1063,8 @@ mod tests {
         assert!(text.contains("\"p99_us\""));
         assert!(text.contains("\"shed\""));
         assert!(text.contains("\"peak_batch_buffer\""));
+        // The typed document only: the exposition is `/v1/metrics`'s.
+        assert!(!text.contains("langcrux_serve_"), "{text}");
     }
 
     #[test]
@@ -1149,70 +1095,11 @@ mod tests {
         }
     }
 
-    /// The drift guard: every sample in the Prometheus exposition must
-    /// appear in `/v1/stats`'s `metrics` object with an equal value, and
-    /// vice versa — both are rendered from one encoder pass.
+    /// Collectors registered in `ServeState::extra` surface in the
+    /// exposition — this is how the repro daemon exports pipeline gauges
+    /// after a build.
     #[test]
-    fn stats_json_and_prometheus_expose_identical_metrics() {
-        let state = test_state();
-        let _ = route(&state, &request("POST", "/v1/audit", PAGE.as_bytes()));
-        state.latency.record_us(120);
-        state.latency.record_us(4_000);
-        let stats = state.stats();
-        let enc = state.encode_metrics(&stats);
-        let samples = enc.flat_samples();
-        assert!(samples.len() >= 18, "expected a full exposition");
-
-        // JSON view: parse the /v1/stats document's `metrics` object.
-        let resp = full(route(&state, &request("GET", "/v1/stats", b"")));
-        let doc: Value =
-            serde_json::from_str(std::str::from_utf8(resp.body.as_slice()).unwrap()).unwrap();
-        let metrics = doc.get("metrics").expect("stats document has metrics");
-        let json_fields = metrics.as_object().unwrap();
-
-        // Prometheus view: parse every sample line of /v1/metrics.
-        let resp = full(route(&state, &request("GET", "/v1/metrics", b"")));
-        let text = String::from_utf8(resp.body.to_vec()).unwrap();
-        let mut prom: Vec<(String, f64)> = Vec::new();
-        for line in text.lines().filter(|l| !l.starts_with('#')) {
-            let (name, value) = line.split_once(' ').unwrap();
-            prom.push((name.to_string(), value.parse().unwrap()));
-        }
-
-        // Same families either way; values may advance between the two
-        // scrapes (each route call bumps counters), so compare names
-        // exhaustively and values for scrape-invariant series.
-        let json_names: Vec<&str> = json_fields.iter().map(|(k, _)| k.as_str()).collect();
-        for (name, _) in &prom {
-            assert!(
-                json_names.contains(&name.as_str()),
-                "{name} in exposition but not in stats JSON"
-            );
-        }
-        assert_eq!(prom.len(), json_fields.len(), "sample counts differ");
-        for (name, value) in &samples {
-            if name.contains("uptime") || name.contains("requests_total") {
-                continue; // advances between scrapes
-            }
-            let json_value = json_fields
-                .iter()
-                .find(|(k, _)| k == name)
-                .map(|(_, v)| match v {
-                    Value::UInt(u) => *u as f64,
-                    Value::Int(i) => *i as f64,
-                    Value::Float(f) => *f,
-                    other => panic!("non-numeric metric {name}: {other:?}"),
-                })
-                .unwrap_or_else(|| panic!("{name} missing from stats JSON"));
-            assert_eq!(json_value, *value, "value drift for {name}");
-        }
-    }
-
-    /// Collectors registered in `ServeState::extra` surface through both
-    /// exposition paths — this is how the repro daemon exports pipeline
-    /// gauges after a build.
-    #[test]
-    fn extra_registry_collectors_appear_in_both_views() {
+    fn extra_registry_collectors_appear_in_the_exposition() {
         let state = test_state();
         state.extra.register(|enc| {
             enc.counter(
@@ -1225,14 +1112,6 @@ mod tests {
         let text = String::from_utf8(resp.body.to_vec()).unwrap();
         assert!(text.contains("langcrux_crawl_retries_total 7\n"));
         assert!(text.contains("langcrux_build_info{service=\"langcrux-serve\""));
-        let resp = full(route(&state, &request("GET", "/v1/stats", b"")));
-        let doc: Value =
-            serde_json::from_str(std::str::from_utf8(resp.body.as_slice()).unwrap()).unwrap();
-        let metrics = doc.get("metrics").unwrap();
-        assert_eq!(
-            metrics.get("langcrux_crawl_retries_total"),
-            Some(&Value::UInt(7))
-        );
     }
 
     #[test]
@@ -1278,51 +1157,6 @@ mod tests {
         assert!(text.contains(&count_line), "count != +Inf: {text}");
         // _sum is present (exact total, not mean×count).
         assert!(text.contains("langcrux_serve_request_latency_microseconds_sum "));
-    }
-
-    #[test]
-    fn stats_route_negotiates_prometheus_via_accept() {
-        let state = test_state();
-        let mut req = request("GET", "/v1/stats", b"");
-        req.headers
-            .push(("accept".to_string(), "text/plain".to_string()));
-        let resp = full(route(&state, &req));
-        assert!(resp.content_type.starts_with("text/plain"));
-        let text = String::from_utf8(resp.body.to_vec()).unwrap();
-        assert!(text.contains("langcrux_serve_uptime_milliseconds"));
-        // Plain GET still answers JSON, and both count as stats requests.
-        let json = full(route(&state, &request("GET", "/v1/stats", b"")));
-        assert_eq!(json.content_type, "application/json");
-        assert_eq!(state.counters.snapshot().stats, 2);
-        // A GET with Accept: application/json is unaffected.
-        let mut req = request("GET", "/v1/stats", b"");
-        req.headers
-            .push(("accept".to_string(), "application/json".to_string()));
-        assert_eq!(full(route(&state, &req)).content_type, "application/json");
-        // q-values: tolerating text as a fallback (or refusing it) must
-        // not switch an existing JSON client to the exposition format.
-        for accept in [
-            "application/json, text/plain;q=0.1",
-            "text/plain;q=0",
-            "text/plain;q=0.2, application/json;q=0.9",
-        ] {
-            let mut req = request("GET", "/v1/stats", b"");
-            req.headers.push(("accept".to_string(), accept.to_string()));
-            assert_eq!(
-                full(route(&state, &req)).content_type,
-                "application/json",
-                "{accept}"
-            );
-        }
-        // A scraper that genuinely prefers text still gets it.
-        let mut req = request("GET", "/v1/stats", b"");
-        req.headers.push((
-            "accept".to_string(),
-            "text/plain;version=0.0.4;q=0.9, application/json;q=0.2".to_string(),
-        ));
-        assert!(full(route(&state, &req))
-            .content_type
-            .starts_with("text/plain"));
     }
 
     #[test]

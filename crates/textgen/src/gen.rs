@@ -35,12 +35,6 @@ impl TextGenerator {
         }
     }
 
-    /// Create a generator that consumes an existing RNG (used when a caller
-    /// interleaves several generators deterministically).
-    pub fn from_rng(language: Language, rng: StdRng) -> Self {
-        TextGenerator { language, rng }
-    }
-
     /// The language this generator produces.
     pub fn language(&self) -> Language {
         self.language
@@ -396,11 +390,6 @@ impl TextGenerator {
             return;
         }
         self.append_phrase(1, 3, out);
-    }
-
-    /// Expose the inner RNG for callers that need correlated decisions.
-    pub fn rng_mut(&mut self) -> &mut StdRng {
-        &mut self.rng
     }
 }
 

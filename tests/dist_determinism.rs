@@ -27,7 +27,6 @@ use langcrux::core::dist::{
     build_dataset_distributed, DistBuild, DistOptions, LocalExecutor, WireBuildConfig,
 };
 use langcrux::core::{build_dataset_with_ledger, Dataset, PipelineOptions};
-use langcrux::crawl::BrowserConfig;
 use langcrux::lang::rng;
 use langcrux::webgen::{Corpus, CorpusConfig};
 use std::collections::BTreeSet;
@@ -69,7 +68,7 @@ fn run(executor: &LocalExecutor) -> DistBuild {
 #[test]
 fn a_kill_at_every_unit_boundary_recovers_to_oracle_bytes() {
     let (ds_oracle, ledger_oracle) = oracle_bytes();
-    let config = WireBuildConfig::of(&corpus(), BrowserConfig::default());
+    let config = WireBuildConfig::of(&corpus());
 
     // Recording pass: learn every unit key the coordinator plans.
     let seen: Arc<Mutex<BTreeSet<String>>> = Arc::new(Mutex::new(BTreeSet::new()));
@@ -110,7 +109,7 @@ fn a_kill_at_every_unit_boundary_recovers_to_oracle_bytes() {
 #[test]
 fn seeded_kill_schedules_recover_and_count_reassignments() {
     let (ds_oracle, ledger_oracle) = oracle_bytes();
-    let config = WireBuildConfig::of(&corpus(), BrowserConfig::default());
+    let config = WireBuildConfig::of(&corpus());
     for salt in [1u64, 9, 0x5eed] {
         // A multi-kill schedule pure in the unit key: up to two dispatch
         // deaths per unit, different units per salt.
@@ -144,7 +143,7 @@ fn seeded_kill_schedules_recover_and_count_reassignments() {
 
 #[test]
 fn reassignments_surface_in_the_metrics_exposition() {
-    let config = WireBuildConfig::of(&corpus(), BrowserConfig::default());
+    let config = WireBuildConfig::of(&corpus());
     let executor = LocalExecutor::with_failures(&config, |key, attempt| {
         attempt == 0 && key.starts_with("th:")
     });
@@ -186,8 +185,7 @@ fn a_panicking_site_is_poisoned_alike_in_process_and_dispatched() {
             ..PipelineOptions::default()
         },
     );
-    let mut executor =
-        LocalExecutor::new(&WireBuildConfig::of(&corpus(), BrowserConfig::default()));
+    let mut executor = LocalExecutor::new(&WireBuildConfig::of(&corpus()));
     executor.panic_host = Some(poison_target);
     let build = run(&executor);
 

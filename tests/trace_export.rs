@@ -16,7 +16,6 @@ use langcrux::core::dist::{
     build_dataset_distributed, DistOptions, LocalExecutor, WireBuildConfig,
 };
 use langcrux::core::{build_dataset, build_dataset_with_ledger, PipelineOptions};
-use langcrux::crawl::BrowserConfig;
 use langcrux::obs::chrome;
 use langcrux::obs::trace::{self, TraceConfig, TraceReport};
 use langcrux::webgen::{Corpus, CorpusConfig};
@@ -182,7 +181,7 @@ fn untraced_build_on_another_thread_stays_out_of_the_session() {
 #[test]
 fn traced_in_process_dist_build_keeps_its_unit_spans() {
     let corpus = Corpus::build(CorpusConfig::small(23, QUOTA));
-    let executor = LocalExecutor::new(&WireBuildConfig::of(&corpus, BrowserConfig::default()));
+    let executor = LocalExecutor::new(&WireBuildConfig::of(&corpus));
     let options = DistOptions {
         quota: QUOTA,
         workers: 2,
