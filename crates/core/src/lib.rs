@@ -6,8 +6,9 @@
 //!
 //! ```text
 //! candidate pool ──select_languages──▶ 12 language-country pairs
-//! corpus (webgen) ──select_websites──▶ rank-ordered, threshold-verified sites
-//!                 ──build_dataset────▶ Dataset (the LangCrUX release)
+//! corpus (webgen) ──build_dataset_with_ledger──▶ Dataset (the LangCrUX release)
+//!                   (probe waves → rank-order selection → site analysis)
+//!                   + CrawlLedger
 //! Dataset ──analysis::*──▶ Table 2/3/4/5, Figures 2–9, headline findings
 //! ```
 //!
@@ -44,4 +45,4 @@ pub use dist::{
 pub use ledger::{CountryLedger, CrawlLedger, DegradedUnit, ErrorTaxonomy};
 pub use pipeline::{build_dataset, build_dataset_with_ledger, PipelineOptions};
 pub use report::markdown_report;
-pub use selection::{select_languages, select_websites, LanguageVerdict};
+pub use selection::{select_languages, LanguageVerdict};

@@ -327,7 +327,7 @@ mod tests {
             },
         );
         for country in Country::STUDY {
-            let (sites, stats) = select_websites(&corpus, country, 18, BrowserConfig::default());
+            let (sites, stats) = select_websites(&corpus, country, 18);
             let summary = ds
                 .crawl_summaries
                 .iter()

@@ -11,13 +11,17 @@
 //! **Website selection** — walk a country's CrUX-rank-ordered candidates,
 //! crawl each through the country VPN, keep sites whose visible text passes
 //! the 50% native threshold, and "replace \[failures\] with the next-ranking
-//! candidate" until the quota is filled.
+//! candidate" until the quota is filled. [`probe_candidate_traced`] is that
+//! per-candidate test; the build engine (`crate::dist`) probes candidates
+//! in parallel waves and replays the rank-order walk over the verdicts.
+//! The sequential walk itself, `select_websites`, is test-only: the
+//! reference the parallel selection is checked against.
 
-use langcrux_crawl::{Browser, BrowserConfig, Visit, VisitError, VisitTrace};
-use langcrux_lang::{Country, Language};
+use langcrux_crawl::{Browser, Visit, VisitError, VisitTrace};
+use langcrux_lang::Language;
 use langcrux_langid::composition_of_histogram;
-use langcrux_net::{vpn_vantage, Url, Vantage};
-use langcrux_webgen::{Corpus, SitePlan};
+use langcrux_net::{Url, Vantage};
+use langcrux_webgen::SitePlan;
 use serde::{Deserialize, Serialize};
 
 /// The paper's inclusion thresholds.
@@ -121,8 +125,9 @@ pub struct SelectedSite {
     pub visible_english_pct: f64,
 }
 
-/// Telemetry of one country's website-selection pass.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+/// Telemetry of one country's sequential website-selection walk.
+#[cfg(test)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct SelectionStats {
     pub attempted: u64,
     pub selected: u64,
@@ -133,7 +138,10 @@ pub struct SelectionStats {
     pub shortfall: u64,
 }
 
-/// Fetch one candidate and apply the 50%-native-content inclusion test.
+/// Fetch one candidate and apply the 50%-native-content inclusion test,
+/// also returning the visit's [`VisitTrace`] so the pipeline can fold
+/// retry/backoff/breaker/damage accounting into the degraded-run ledger
+/// ([`crate::ledger`]).
 ///
 /// The outcome depends only on `(corpus seed, host, vantage)` — never on
 /// when or from which worker the probe runs — which is what lets the
@@ -141,18 +149,6 @@ pub struct SelectionStats {
 /// paper's sequential rank-order replacement walk over the verdicts.
 /// The language composition comes from the histogram the crawler computed
 /// during extraction; the visible text is not re-scanned.
-pub fn probe_candidate(
-    browser: &mut Browser,
-    plan: &SitePlan,
-    vantage: Vantage,
-    native: Language,
-) -> Result<SelectedSite, Rejection> {
-    probe_candidate_traced(browser, plan, vantage, native).0
-}
-
-/// [`probe_candidate`], also returning the visit's [`VisitTrace`] so the
-/// pipeline can fold retry/backoff/breaker/damage accounting into the
-/// degraded-run ledger ([`crate::ledger`]).
 pub fn probe_candidate_traced(
     browser: &mut Browser,
     plan: &SitePlan,
@@ -181,15 +177,17 @@ pub fn probe_candidate_traced(
 
 /// Select up to `quota` websites for `country` from the corpus, walking
 /// candidates in CrUX rank order and replacing failures with the next
-/// candidate — the paper's procedure.
+/// candidate — the paper's procedure, one probe at a time with the
+/// default browser.
+#[cfg(test)]
 pub fn select_websites(
-    corpus: &Corpus,
-    country: Country,
+    corpus: &langcrux_webgen::Corpus,
+    country: langcrux_lang::Country,
     quota: usize,
-    browser_config: BrowserConfig,
 ) -> (Vec<SelectedSite>, SelectionStats) {
-    let vantage = vpn_vantage(country).unwrap_or_else(|| panic!("no VPN endpoint for {country:?}"));
-    let mut browser = Browser::new(corpus.internet(), browser_config);
+    let vantage = langcrux_net::vpn_vantage(country)
+        .unwrap_or_else(|| panic!("no VPN endpoint for {country:?}"));
+    let mut browser = Browser::new(corpus.internet(), langcrux_crawl::BrowserConfig::default());
     let native = country.target_language();
 
     let mut selected = Vec::with_capacity(quota);
@@ -200,7 +198,7 @@ pub fn select_websites(
             break;
         }
         stats.attempted += 1;
-        match probe_candidate(&mut browser, plan, vantage, native) {
+        match probe_candidate_traced(&mut browser, plan, vantage, native).0 {
             Ok(site) => {
                 stats.selected += 1;
                 selected.push(site);
@@ -220,7 +218,8 @@ pub fn select_websites(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use langcrux_webgen::CorpusConfig;
+    use langcrux_lang::Country;
+    use langcrux_webgen::{Corpus, CorpusConfig};
 
     #[test]
     fn language_selection_yields_exactly_the_study_pairs() {
@@ -262,8 +261,7 @@ mod tests {
     #[test]
     fn website_selection_fills_quota_with_replacement() {
         let corpus = Corpus::build(CorpusConfig::small(301, 40));
-        let (sites, stats) =
-            select_websites(&corpus, Country::Thailand, 40, BrowserConfig::default());
+        let (sites, stats) = select_websites(&corpus, Country::Thailand, 40);
         assert_eq!(sites.len(), 40, "quota unmet: {stats:?}");
         assert_eq!(stats.shortfall, 0);
         // Replacement must actually have happened: some candidates rejected.
@@ -280,7 +278,7 @@ mod tests {
     #[test]
     fn selection_respects_rank_order() {
         let corpus = Corpus::build(CorpusConfig::small(301, 20));
-        let (sites, _) = select_websites(&corpus, Country::Japan, 20, BrowserConfig::default());
+        let (sites, _) = select_websites(&corpus, Country::Japan, 20);
         for w in sites.windows(2) {
             assert!(w[0].plan.rank <= w[1].plan.rank);
         }
@@ -289,7 +287,7 @@ mod tests {
     #[test]
     fn small_quota_small_attempts() {
         let corpus = Corpus::build(CorpusConfig::small(301, 30));
-        let (sites, stats) = select_websites(&corpus, Country::Israel, 5, BrowserConfig::default());
+        let (sites, stats) = select_websites(&corpus, Country::Israel, 5);
         assert_eq!(sites.len(), 5);
         assert!(stats.attempted <= 12, "attempted = {}", stats.attempted);
     }

@@ -22,13 +22,17 @@
 //!
 //! Text attributes to the innermost open region only — a `nav` region's
 //! histogram never double-counts into the page region. Hidden subtrees
-//! contribute nothing (the `visible` flags of the shared walk).
+//! contribute nothing (their text events carry no tally).
 //!
 //! [`RegionTracker`] implements [`StreamSink`]. The streaming extractor
-//! feeds it tokenizer events; the DOM extractor of the `langcrux-oracle`
-//! crate feeds it the same events replayed from a tree, so the derived
-//! regions are identical by construction wherever the two walks deliver
-//! the same events (pinned there).
+//! feeds it tokenizer events, each visible text run with the script tally
+//! the walk's normaliser counted while copying it, so a region's
+//! histogram is a sum of run tallies and no character is decoded or
+//! classified a second time. The DOM extractor of the `langcrux-oracle`
+//! crate feeds it the same events replayed from a tree, with tallies it
+//! counts itself (`ScriptHistogram::of`), so the derived regions are
+//! identical wherever the two walks deliver the same events, and the
+//! oracle's tests check the fused tallies against that independent count.
 //!
 //! While the walk runs, region roles and languages are spans of one
 //! per-page string arena, so an element inside a `lang` context costs no
@@ -221,10 +225,10 @@ impl StreamSink for RegionTracker {
         }
     }
 
-    fn text(&mut self, text: &str, visible: bool) {
-        if !visible {
+    fn text(&mut self, _text: &str, tally: Option<&ScriptHistogram>) {
+        let Some(tally) = tally else {
             return;
-        }
+        };
         let idx = match self.active.last() {
             Some(&idx) => idx,
             None => {
@@ -236,10 +240,7 @@ impl StreamSink for RegionTracker {
                 *self.active.last().expect("region just opened")
             }
         };
-        let hist = &mut self.regions[idx].hist;
-        for c in text.chars() {
-            hist.push(c);
-        }
+        self.regions[idx].hist.merge(tally);
     }
 }
 

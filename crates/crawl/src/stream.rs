@@ -519,8 +519,8 @@ impl StreamSink for ExtractSink {
         }
     }
 
-    fn text(&mut self, text: &str, visible: bool) {
-        self.regions.text(text, visible);
+    fn text(&mut self, text: &str, tally: Option<&ScriptHistogram>) {
+        self.regions.text(text, tally);
         // Every open capture owns this text: an element's text content is
         // unconditional over descendants, including invisible subtrees.
         for capture in &mut self.captures {
@@ -601,9 +601,9 @@ mod tests {
         fn element_end(&mut self, name: &str) {
             self.sink.element_end(name);
         }
-        fn text(&mut self, text: &str, visible: bool) {
+        fn text(&mut self, text: &str, tally: Option<&ScriptHistogram>) {
             (self.on_text)(text);
-            self.sink.text(text, visible);
+            self.sink.text(text, tally);
         }
     }
 

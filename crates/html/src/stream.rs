@@ -15,7 +15,9 @@
 //! * a **skip-stack** depth counter tracks `script`/`style`/`head`/hidden
 //!   subtrees, replacing a tree walk's per-subtree early return;
 //! * inter-block whitespace flows through the shared
-//!   [`Normaliser`]/[`ScriptHistogram`] sink.
+//!   [`Normaliser`]/[`ScriptHistogram`] sink, which decodes and classifies
+//!   each visible character once and hands the sink every visible text
+//!   event's script tally.
 //!
 //! The tree-building parser and DOM walk that define the expected output
 //! live in the dev-only `langcrux-oracle` crate, which builds them from
@@ -98,10 +100,13 @@ pub trait StreamSink {
     /// The matching close of the innermost open element (fires for void
     /// and self-closing elements immediately after their start).
     fn element_end(&mut self, _name: &str) {}
-    /// A text node's decoded content. `visible` is false inside skipped
-    /// subtrees (the text still reaches the sink: accessibility text like
-    /// `<title>` or labels in hidden subtrees is extracted regardless).
-    fn text(&mut self, _text: &str, _visible: bool) {}
+    /// A text node's decoded content. `tally` is its script histogram,
+    /// equal to `ScriptHistogram::of(text)`, when the text is visible, and
+    /// `None` inside skipped subtrees (the text still reaches the sink:
+    /// accessibility text like `<title>` or labels in hidden subtrees is
+    /// extracted regardless). The streaming walk passes the tally its
+    /// normaliser counted, so a sink needs no second pass over the text.
+    fn text(&mut self, _text: &str, _tally: Option<&ScriptHistogram>) {}
 }
 
 impl StreamSink for () {}
@@ -341,11 +346,12 @@ impl<S: StreamSink> TokenSink for StreamWalk<S> {
             // input slice, unchanged.
             raw
         };
-        let visible = self.skip_depth == 0;
-        if visible {
-            self.normaliser.push_text(decoded);
+        if self.skip_depth == 0 {
+            let tally = self.normaliser.push_text(decoded);
+            self.sink.text(decoded, Some(&tally));
+        } else {
+            self.sink.text(decoded, None);
         }
-        self.sink.text(decoded, visible);
     }
 }
 
@@ -372,8 +378,8 @@ mod tests {
                 self.min_depth = self.min_depth.min(self.depth);
                 self.events.push(format!("-{name}"));
             }
-            fn text(&mut self, text: &str, visible: bool) {
-                self.events.push(format!("t:{text}/{visible}"));
+            fn text(&mut self, text: &str, tally: Option<&ScriptHistogram>) {
+                self.events.push(format!("t:{text}/{}", tally.is_some()));
             }
         }
         let (_, _, trace) = stream_extract(
@@ -421,8 +427,8 @@ mod tests {
         fn element_end(&mut self, name: &str) {
             self.0.push(format!("-{name}"));
         }
-        fn text(&mut self, text: &str, visible: bool) {
-            self.0.push(format!("t:{text}/{visible}"));
+        fn text(&mut self, text: &str, tally: Option<&ScriptHistogram>) {
+            self.0.push(format!("t:{text}/{}", tally.is_some()));
         }
     }
 
@@ -483,7 +489,7 @@ mod tests {
         #[derive(Default)]
         struct Reentrant(Option<(String, ScriptHistogram)>);
         impl StreamSink for Reentrant {
-            fn text(&mut self, _: &str, _: bool) {
+            fn text(&mut self, _: &str, _: Option<&ScriptHistogram>) {
                 if self.0.is_none() {
                     self.0 = Some(stream_visible_text_histogram(INNER));
                 }
@@ -509,7 +515,7 @@ mod tests {
         /// elements open, attributes lexed and visible text pending.
         struct Bomb;
         impl StreamSink for Bomb {
-            fn text(&mut self, text: &str, _: bool) {
+            fn text(&mut self, text: &str, _: Option<&ScriptHistogram>) {
                 assert!(!text.contains("boom"), "sink failure");
             }
         }

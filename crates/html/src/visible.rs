@@ -13,7 +13,7 @@
 //! the same functions to a tree, so the two cannot drift.
 
 use crate::tokenizer::Attribute;
-use langcrux_lang::script::ScriptHistogram;
+use langcrux_lang::script::{script_of, Script, ScriptHistogram};
 
 /// Elements whose entire subtree never renders as text.
 pub fn is_non_rendering(name: &str) -> bool {
@@ -107,7 +107,9 @@ pub fn is_block(name: &str) -> bool {
 /// directly into it, so the visible text and its script histogram are
 /// produced in one pass with no intermediate buffer. Both walks share this
 /// one struct, which is what makes their outputs byte-identical by
-/// construction.
+/// construction. Each visible character is decoded and classified once,
+/// here: [`push_text`](Self::push_text) hands the run's script tally back
+/// for the per-region histograms.
 #[derive(Default)]
 pub struct Normaliser {
     out: String,
@@ -142,37 +144,70 @@ impl Normaliser {
         self.pending_newline = true;
     }
 
-    /// Append a text run: whitespace collapses into one pending separator,
-    /// and each run of other characters is tallied and copied with one
-    /// `push_str`.
-    pub fn push_text(&mut self, text: &str) {
-        // Start of the run of non-whitespace characters being scanned.
+    /// Append a text run and return its script tally, which equals
+    /// `ScriptHistogram::of(text)` (whitespace and the sentinel count as
+    /// `Common`). Whitespace collapses into one pending separator, and
+    /// each run of other characters is copied with one `push_str`; a run
+    /// goes on through a single U+0020 between two of its characters,
+    /// because that space is exactly the separator it would emit.
+    pub fn push_text(&mut self, text: &str) -> ScriptHistogram {
+        let mut tally = ScriptHistogram::default();
+        // The run being copied: where it starts, and where its last
+        // non-whitespace character ends.
         let mut run: Option<usize> = None;
+        let mut end = 0;
+        // Whitespace and sentinels that collapse instead of being copied.
+        let mut collapsed = 0;
         for (i, c) in text.char_indices() {
+            let script = script_of(c);
+            // Whitespace and the sentinel are `Common`, so a character of
+            // any other script needs no whitespace test.
+            if script != Script::Common || !(c.is_whitespace() || c == '\u{1}') {
+                if run.is_none() {
+                    self.separate();
+                    run = Some(i);
+                }
+                end = i + c.len_utf8();
+                tally.push_script(script);
+                continue;
+            }
+            tally.push_script(Script::Common);
+            if let Some(start) = run {
+                if c == ' ' && i == end {
+                    // Held: the run keeps it if a character follows.
+                    continue;
+                }
+                self.out.push_str(&text[start..end]);
+                run = None;
+                if i != end {
+                    // The held space collapses after all.
+                    collapsed += 1;
+                    self.pending_space = true;
+                }
+            }
+            collapsed += 1;
             // Historical sentinel: a literal U+0001 in input text acted as
             // a block boundary before the walk was fused; preserved so
             // output stays byte-identical.
-            let boundary = c == '\u{1}';
-            if boundary || c.is_whitespace() {
-                if let Some(start) = run.take() {
-                    self.out.push_str(&text[start..i]);
-                }
-                if boundary {
-                    self.pending_newline = true;
-                } else {
-                    self.pending_space = true;
-                }
-                continue;
+            if c == '\u{1}' {
+                self.pending_newline = true;
+            } else {
+                self.pending_space = true;
             }
-            if run.is_none() {
-                self.separate();
-                run = Some(i);
-            }
-            self.histogram.push(c);
         }
         if let Some(start) = run {
-            self.out.push_str(&text[start..]);
+            self.out.push_str(&text[start..end]);
+            if end != text.len() {
+                collapsed += 1;
+                self.pending_space = true;
+            }
         }
+        // The text gains the run's characters less the collapsed ones
+        // (separators are counted as `separate` emits them).
+        self.histogram.merge(&tally);
+        self.histogram.common -= collapsed;
+        self.histogram.total -= collapsed;
+        tally
     }
 
     /// Emit the separator owed before a new run of characters: a newline
@@ -310,5 +345,79 @@ mod tests {
     fn empty_document() {
         assert_eq!(visible_text(""), "");
         assert_eq!(visible_text("<div></div>"), "");
+    }
+
+    /// Every character `char::is_whitespace` accepts: ASCII (with VT and
+    /// FF), NEL, NBSP, Ogham space, U+2000–U+200A, the line and paragraph
+    /// separators, narrow NBSP, medium mathematical space and the
+    /// ideographic space.
+    const WHITESPACE: [char; 25] = [
+        '\t', '\n', '\u{b}', '\u{c}', '\r', ' ', '\u{85}', '\u{a0}', '\u{1680}', '\u{2000}',
+        '\u{2001}', '\u{2002}', '\u{2003}', '\u{2004}', '\u{2005}', '\u{2006}', '\u{2007}',
+        '\u{2008}', '\u{2009}', '\u{200a}', '\u{2028}', '\u{2029}', '\u{202f}', '\u{205f}',
+        '\u{3000}',
+    ];
+
+    /// What a character-at-a-time normaliser makes of `runs` fed one
+    /// after another: the reference for the fused loop's text.
+    fn reference_text(runs: &[String]) -> String {
+        let mut out = String::new();
+        let mut separator = None;
+        for c in runs.concat().chars() {
+            if c == '\u{1}' {
+                separator = Some('\n');
+            } else if c.is_whitespace() {
+                separator = separator.or(Some(' '));
+            } else {
+                if let Some(sep) = separator.take() {
+                    if !out.is_empty() {
+                        out.push(sep);
+                    }
+                }
+                out.push(c);
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn fused_loop_tallies_each_run_and_copies_it_exactly() {
+        let all: Vec<char> = (0..=0x10FFFF)
+            .filter_map(char::from_u32)
+            .filter(|c| c.is_whitespace())
+            .collect();
+        assert_eq!(all, WHITESPACE, "the whitespace classes changed");
+        let mut runs = Vec::new();
+        for ws in WHITESPACE.into_iter().chain(['\u{1}']) {
+            runs.extend([
+                format!("a{ws}b"),
+                format!("x{ws}{ws}y"),
+                format!("{ws}lead"),
+                format!("trail{ws}"),
+                format!("{ws}"),
+                format!("ab {ws}cd{ws} ef"),
+            ]);
+        }
+        for run in [
+            "one two  three",
+            " ",
+            "  ",
+            "",
+            " both ends ",
+            "he",
+            "llo world",
+            "\u{20000} 中文 ไทย 한국어 বাংলা Ελληνικά עברית 123, ok!",
+            "mixed中文text and\u{a0}nbsp",
+        ] {
+            runs.push(run.to_string());
+        }
+        let mut normaliser = Normaliser::default();
+        for run in &runs {
+            let tally = normaliser.push_text(run);
+            assert_eq!(tally, ScriptHistogram::of(run), "tally of {run:?}");
+        }
+        let (text, hist) = normaliser.finish();
+        assert_eq!(text, reference_text(&runs));
+        assert_eq!(hist, ScriptHistogram::of(&text));
     }
 }

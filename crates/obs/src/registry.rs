@@ -288,13 +288,6 @@ impl Registry {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
-
-    /// Convenience: encode all collectors and render the exposition.
-    pub fn prometheus_text(&self) -> String {
-        let mut enc = Encoder::new();
-        self.collect_into(&mut enc);
-        enc.prometheus_text()
-    }
 }
 
 /// Git SHA baked in at compile time by the crate's build script
@@ -393,8 +386,13 @@ mod tests {
         assert!(registry.is_empty());
         registry.register(|enc| enc.counter("c_total", "C.", 1.0));
         assert_eq!(registry.len(), 1);
-        let text = registry.prometheus_text();
-        assert!(text.contains("c_total 1\n"));
+        // Each scrape encodes through a fresh encoder, as the serve and
+        // build expositions do.
+        for _ in 0..2 {
+            let mut enc = Encoder::new();
+            registry.collect_into(&mut enc);
+            assert!(enc.prometheus_text().contains("c_total 1\n"));
+        }
     }
 
     #[test]

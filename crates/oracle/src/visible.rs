@@ -46,7 +46,9 @@ pub fn visible_text_histogram(doc: &Document) -> (String, ScriptHistogram) {
 
 fn walk(doc: &Document, id: NodeId, sink: &mut Normaliser) {
     match &doc.node(id).kind {
-        NodeKind::Text(t) => sink.push_text(t),
+        NodeKind::Text(t) => {
+            sink.push_text(t);
+        }
         NodeKind::Comment(_) => {}
         NodeKind::Document => {
             for &c in &doc.node(id).children {
@@ -74,10 +76,12 @@ fn walk(doc: &Document, id: NodeId, sink: &mut Normaliser) {
 /// Replay the tree-level events of a parsed [`Document`] into a
 /// [`StreamSink`] — the DOM-side twin of `langcrux_html::stream_extract`'s
 /// event delivery. Element starts/ends arrive balanced in document order
-/// and the `visible` flags follow the exact rules of [`visible_text`]
+/// and visibility follows the exact rules of [`visible_text`]
 /// (non-rendering elements, `hidden`, `aria-hidden="true"`, hiding inline
 /// styles), so a sink fed from a `Document` observes the same region
-/// structure as one fed from the tokenizer. The DOM extractor
+/// structure as one fed from the tokenizer. A visible text event carries
+/// its script tally, counted here with `ScriptHistogram::of` rather than
+/// taken from the normaliser. The DOM extractor
 /// ([`extract`](fn@crate::extract)) drives the crawler's region tracker
 /// from it, the same tracker the streaming extractor feeds.
 pub fn walk_events<S: StreamSink>(doc: &Document, sink: &mut S) {
@@ -86,7 +90,10 @@ pub fn walk_events<S: StreamSink>(doc: &Document, sink: &mut S) {
 
 fn walk_events_at<S: StreamSink>(doc: &Document, id: NodeId, skip_depth: usize, sink: &mut S) {
     match &doc.node(id).kind {
-        NodeKind::Text(t) => sink.text(t, skip_depth == 0),
+        NodeKind::Text(t) => {
+            let tally = (skip_depth == 0).then(|| ScriptHistogram::of(t));
+            sink.text(t, tally.as_ref());
+        }
         NodeKind::Comment(_) => {}
         NodeKind::Document => {
             for &c in &doc.node(id).children {

@@ -10,6 +10,7 @@
 
 use langcrux_html::stream::{stream_extract, stream_visible_text_histogram, StreamSink};
 use langcrux_html::tokenizer::Attribute;
+use langcrux_lang::script::ScriptHistogram;
 use langcrux_oracle::{parse, visible_text, visible_text_histogram, walk_events};
 
 /// The invariant the streaming walk exists to uphold.
@@ -211,8 +212,8 @@ fn dom_walk_events_match_streaming_events() {
         fn element_end(&mut self, name: &str) {
             self.0.push(format!("-{name}"));
         }
-        fn text(&mut self, text: &str, visible: bool) {
-            let tagged = format!("t{visible}:");
+        fn text(&mut self, text: &str, tally: Option<&ScriptHistogram>) {
+            let tagged = format!("t{}:", tally.is_some());
             match self.0.last_mut() {
                 Some(last) if last.starts_with(&tagged) => last.push_str(text),
                 _ => self.0.push(format!("{tagged}{text}")),

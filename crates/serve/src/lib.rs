@@ -16,7 +16,7 @@
 //! * [`governor`] — bounded admission: hard connection cap, bounded
 //!   pending queue, `503 + Retry-After` shedding beyond both.
 //! * [`cache`] — sharded, content-hash-keyed LRU response cache
-//!   (FNV-1a keys, per-shard mutexes, exact-LRU eviction).
+//!   (word-at-a-time key hash, per-shard mutexes, exact-LRU eviction).
 //! * [`service`] — the audit engine façade: HTML in, deterministic
 //!   [`AuditResponse`] JSON out (fused extraction, `audit::rules`,
 //!   Kizuki rescoring via the carried histogram, speak-order pass).

@@ -11,12 +11,23 @@
 //! the serde shim writes fields in declaration order, which is what lets
 //! the response cache store bytes and what the API determinism test pins.
 
-use crate::cache::CacheKey;
 use langcrux_audit::{audit_page, gap_report, AuditReport, GapReport};
 use langcrux_crawl::extract_streaming;
 use langcrux_kizuki::{GapSpeech, Kizuki, KizukiReport, PageAnalysis, ScreenReader, Utterance};
 use langcrux_lang::script::Script;
 use serde::Serialize;
+
+/// 64-bit FNV-1a over arbitrary bytes: the response's `content_hash`.
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+    const PRIME: u64 = 0x0000_0100_0000_01b3;
+    let mut hash = OFFSET;
+    for &b in bytes {
+        hash ^= u64::from(b);
+        hash = hash.wrapping_mul(PRIME);
+    }
+    hash
+}
 
 /// Per-script character counts of the page's visible text (only scripts
 /// actually present are listed, in the fixed `ALL_DISTINGUISHING` order).
@@ -31,7 +42,9 @@ pub struct ScriptSlice {
 /// The `POST /v1/audit` response document.
 #[derive(Debug, Clone, Serialize)]
 pub struct AuditResponse {
-    /// Hex FNV-1a of the submitted HTML (also the cache key).
+    /// Hex FNV-1a of the submitted HTML, a stable identity clients can
+    /// compute themselves. The response cache keys on a faster hash of
+    /// its own (`serve::cache`).
     pub content_hash: String,
     pub html_bytes: usize,
     /// Characters of visible text (the fused walk's histogram total).
@@ -129,7 +142,7 @@ impl AuditService {
             .collect();
 
         AuditResponse {
-            content_hash: CacheKey::of(html.as_bytes()).hex(),
+            content_hash: format!("{:016x}", fnv1a64(html.as_bytes())),
             html_bytes: html.len(),
             visible_chars: page.visible_hist.total,
             declared_lang: page.declared_lang.clone(),
@@ -236,9 +249,23 @@ mod tests {
     }
 
     #[test]
-    fn content_hash_matches_cache_key() {
-        let resp = AuditService::new().audit(PAGE);
-        assert_eq!(resp.content_hash, CacheKey::of(PAGE.as_bytes()).hex());
+    fn fnv_matches_reference_vectors() {
+        // Published FNV-1a 64-bit test vectors.
+        assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a64(b"foobar"), 0x85944171f73967e8);
+    }
+
+    #[test]
+    fn content_hash_is_the_fnv1a_hex_of_the_body() {
+        let service = AuditService::new();
+        // The published FNV-1a 64-bit vector of "foobar".
+        assert_eq!(service.audit("foobar").content_hash, "85944171f73967e8");
+        let resp = service.audit(PAGE);
+        assert_eq!(
+            resp.content_hash,
+            format!("{:016x}", fnv1a64(PAGE.as_bytes()))
+        );
     }
 
     #[test]
